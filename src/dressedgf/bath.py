@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,28 @@ class BathSpec:
             h[x, xp] += amp
             h[xp, x] += np.conj(amp)
         return h
+
+    @cached_property
+    def _edge_arrays(self):
+        # Every edge in both directions as (rows, cols, amplitudes): one
+        # gather-scatter over these applies the hopping part of H_B.
+        x = np.array([edge[0] for edge in self.hoppings], dtype=np.intp)
+        xp = np.array([edge[1] for edge in self.hoppings], dtype=np.intp)
+        amp = np.array([edge[2] for edge in self.hoppings], dtype=np.complex128)
+        return (
+            np.concatenate((x, xp)),
+            np.concatenate((xp, x)),
+            np.concatenate((amp, np.conj(amp))),
+            np.asarray(self.frequencies, dtype=np.float64),
+        )
+
+    def apply(self, vector) -> np.ndarray:
+        """``H_B @ vector`` straight from the edge list, in O(N + edges)."""
+        rows, cols, amps, freqs = self._edge_arrays
+        v = np.asarray(vector, dtype=np.complex128)
+        out = freqs * v
+        np.add.at(out, rows, amps * v[cols])
+        return out
 
 
 @dataclass(frozen=True, eq=False)

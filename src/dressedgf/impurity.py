@@ -234,12 +234,12 @@ def impurity_scattering_state(
 
 
 def _scattering_residual(s, spec, omega, vector):
-    h = s.source.to_matrix()
+    """``||H v - omega v||`` with the bath applied from the spec's edge list."""
+    r = s.source.apply(vector) - omega * vector
     if spec.is_vacancy:
         # The vacancy state lives on the deleted lattice: measure the residual
         # away from the removed site.
-        r = h @ vector - omega * vector
         r[spec.site] = 0.0
-        return float(np.linalg.norm(r))
-    h[spec.site, spec.site] += spec.strength
-    return float(np.linalg.norm(h @ vector - omega * vector))
+    else:
+        r[spec.site] += spec.strength * vector[spec.site]
+    return float(np.linalg.norm(r))

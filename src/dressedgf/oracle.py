@@ -87,20 +87,37 @@ def build_full_hamiltonian(spec: BathSpec, emitters) -> np.ndarray:
     return h
 
 
+def _eigensystem(h: np.ndarray):
+    evals, evecs = np.linalg.eigh(h)
+    return np.ascontiguousarray(evals, dtype=np.float64), _fix_phases(evecs)
+
+
 def exact_eigensystem(spec: BathSpec, emitters):
     """Eigenvalues and phase-fixed eigenvectors of the full Hamiltonian."""
-    evals, evecs = np.linalg.eigh(build_full_hamiltonian(spec, emitters))
-    return np.ascontiguousarray(evals, dtype=np.float64), _fix_phases(evecs)
+    return _eigensystem(build_full_hamiltonian(spec, emitters))
+
+
+def _solve_resolvent(h: np.ndarray, evals: np.ndarray, z: complex) -> np.ndarray:
+    """``(z - H)^-1`` by dense solve against the identity, given the spectrum of H.
+
+    For Hermitian H the singular values of ``z - H`` are ``|z - lambda_k|``,
+    so its 2-norm condition number is max|z - lambda| / min|z - lambda|
+    exactly; shifts above 1e14 are refused as numerically on an eigenvalue.
+    """
+    z = complex(z)
+    dist = np.abs(z - evals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = dist.max() / dist.min()
+    if not np.isfinite(cond) or cond > 1e14:
+        raise PoleError(f"z={z} is numerically at an eigenvalue (cond={cond:.3e})")
+    shifted = z * np.eye(h.shape[0], dtype=np.complex128) - h
+    return np.linalg.solve(shifted, np.eye(h.shape[0], dtype=np.complex128))
 
 
 def direct_resolvent(spec: BathSpec, emitters, z: complex) -> np.ndarray:
     """``(z - H)^-1`` by dense linear solve; refuses nearly singular shifts."""
     h = build_full_hamiltonian(spec, emitters)
-    shifted = complex(z) * np.eye(h.shape[0], dtype=np.complex128) - h
-    cond = np.linalg.cond(shifted)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise PoleError(f"z={z} is numerically at an eigenvalue (cond={cond:.3e})")
-    return np.linalg.solve(shifted, np.eye(h.shape[0], dtype=np.complex128))
+    return _solve_resolvent(h, np.linalg.eigvalsh(h), z)
 
 
 DEFAULT_CHECKS = (
@@ -146,7 +163,9 @@ def compare(
     s = _bath.diagonalize_bath(spec)
     bands = _bath.detect_bands(s, gap_factor)
     arr = _multi.EmitterArraySpec(emitters=ems)
-    evals, evecs = exact_eigensystem(spec, ems)
+    # one dense Hamiltonian and one diagonalization serve every check
+    h = build_full_hamiltonian(spec, ems)
+    evals, evecs = _eigensystem(h)
     in_gap_mask = np.array([bands.in_gap(w) for w in evals])
     results = []
 
@@ -160,7 +179,7 @@ def compare(
             re = rng.uniform(s.eigenvalues[0] - 0.5 * width, s.eigenvalues[-1] + 0.5 * width)
             im = rng.uniform(0.05 * width, 0.5 * width) * rng.choice([-1.0, 1.0])
             z = complex(re, im)
-            diff = _multi.multi_green(s, arr, z) - direct_resolvent(spec, ems, z)
+            diff = _multi.multi_green(s, arr, z) - _solve_resolvent(h, evals, z)
             err = max(err, float(np.max(np.abs(diff))))
         results.append(CheckResult("resolvent_identity", err, tol, err < tol,
                                    f"{num_z} random z"))

@@ -134,6 +134,17 @@ def test_diagonalize_unitary_and_reconstructs():
         )
 
 
+def test_apply_matches_dense_matrix():
+    rng = np.random.default_rng(22)
+    specs = [random_bath_spec(rng) for _ in range(10)]
+    specs.append(BathSpec(n_sites=1, frequencies=(0.7,), hoppings=()))
+    for spec in specs:
+        h = spec.to_matrix()
+        v = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
+        bound = 1e-14 * (1.0 + np.linalg.norm(h, 2) * np.linalg.norm(v))
+        assert np.linalg.norm(spec.apply(v) - h @ v) <= bound
+
+
 def test_phase_convention_leading_component_real_positive():
     rng = np.random.default_rng(22)
     for _ in range(10):

@@ -30,6 +30,7 @@ from dressedgf import (
 from conftest import (
     eigenspace_fidelity,
     fidelity,
+    random_bath_spec,
     random_gapped_bath,
     random_z,
 )
@@ -239,6 +240,39 @@ def test_scattering_regular_modes_residuals():
         if coarse.residual > 1e-12:
             assert st.residual < coarse.residual
         assert st.delta == 1e-8
+
+
+def test_scattering_state_reuses_pole_channel_arithmetic():
+    # the regular branch must equal the pole-channel state of
+    # dressed_state_function bit for bit
+    rng = np.random.default_rng(48)
+    s = diagonalize_bath(random_bath_spec(rng, 9))
+    e = EmitterSpec(omega0=0.2, g=0.4, site=3)
+    for k in range(s.n_sites):
+        st = dressed_scattering_state(s, e, k, delta=1e-8)
+        assert st.regular
+        z = st.energy + 1e-8j
+        mode = s.eigenvectors[:, k]
+        coupling = mode[e.site] / pole_function_F(s, e, z)
+        psi = dressed_state_function(s, e, z)
+        np.testing.assert_array_equal(st.vector, np.concatenate((
+            [coupling * psi.atomic_amplitude], mode + coupling * psi.photonic)))
+
+
+def test_scattering_residual_matches_dense_product():
+    rng = np.random.default_rng(49)
+    for _ in range(4):
+        spec = random_bath_spec(rng, 10)
+        s = diagonalize_bath(spec)
+        e = EmitterSpec(omega0=float(rng.uniform(-1.0, 1.0)), g=0.5,
+                        site=int(rng.integers(10)))
+        h = build_full_hamiltonian(spec, (e,))
+        h_norm = np.linalg.norm(h, 2)
+        for k in range(s.n_sites):
+            st = dressed_scattering_state(s, e, k)
+            dense = np.linalg.norm(h @ st.vector - st.energy * st.vector)
+            bound = 1e-14 * (1.0 + h_norm * np.linalg.norm(st.vector))
+            assert abs(st.residual - dense) <= bound
 
 
 def test_scattering_k_index_range():

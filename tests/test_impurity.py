@@ -240,3 +240,26 @@ def test_scattering_k_index_range():
     s = _single_site()
     with pytest.raises(ValueError, match="k_index"):
         impurity_scattering_state(s, ImpuritySpec(site=0, strength=1.0), 5)
+
+
+def test_scattering_residual_matches_dense_product():
+    # the residual applies H_B from the edge list; it must equal the dense
+    # ||H v - omega v|| for finite strengths of both signs and the vacancy
+    rng = np.random.default_rng(47)
+    for _ in range(4):
+        spec = random_bath_spec(rng, 10)
+        s = diagonalize_bath(spec)
+        site = int(rng.integers(10))
+        for strength in (0.9, -0.6, VACANCY):
+            imp = ImpuritySpec(site=site, strength=strength)
+            h = spec.to_matrix()
+            if not imp.is_vacancy:
+                h[site, site] += strength
+            h_norm = np.linalg.norm(h, 2)
+            for k in range(s.n_sites):
+                st = impurity_scattering_state(s, imp, k)
+                r = h @ st.vector - st.energy * st.vector
+                if imp.is_vacancy:
+                    r[site] = 0.0
+                bound = 1e-14 * (1.0 + h_norm * np.linalg.norm(st.vector))
+                assert abs(st.residual - np.linalg.norm(r)) <= bound

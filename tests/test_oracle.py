@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import dressedgf.multi
+import dressedgf.oracle
 from dressedgf import (
     BathSpec,
     EmitterSpec,
@@ -73,6 +75,62 @@ def test_direct_resolvent_closed_form():
 def test_direct_resolvent_rejects_eigenvalue():
     with pytest.raises(PoleError, match="cond"):
         direct_resolvent(_single_mode_bath(), (EmitterSpec(0.0, 1.0, 0),), 1.0)
+
+
+def test_direct_resolvent_guard_matches_svd():
+    # the spectral guard must refuse exactly the shifts the SVD condition
+    # number refuses, without leaking a warning when z sits on an eigenvalue
+    rng = np.random.default_rng(44)
+    spec = random_bath_spec(rng, 8)
+    emitters = (EmitterSpec(0.3, 0.5, 2), EmitterSpec(-0.4, 0.7, 6))
+    h = build_full_hamiltonian(spec, emitters)
+    evals = np.linalg.eigvalsh(h)
+    width = evals[-1] - evals[0]
+    zs = [complex(w) for w in evals]
+    zs += [complex(w + 1e-15 * width) for w in evals]
+    zs += [w + 1e-6j for w in evals]
+    zs += [complex(a, b) for a, b in zip(
+        rng.uniform(evals[0] - 0.5 * width, evals[-1] + 0.5 * width, 10),
+        rng.uniform(0.05, 0.5, 10) * width * rng.choice([-1.0, 1.0], 10))]
+    zs += [complex(0.5 * (a + b)) for a, b in zip(evals, evals[1:])]
+    raised = []
+    for z in zs:
+        cond = np.linalg.cond(z * np.eye(h.shape[0]) - h)
+        expected = not np.isfinite(cond) or cond > 1e14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                direct_resolvent(spec, emitters, z)
+                got = False
+            except PoleError as exc:
+                assert "cond" in str(exc)
+                got = True
+        assert got == expected, f"z={z}: cond={cond:.3e}"
+        raised.append(got)
+    assert any(raised) and not all(raised)
+
+
+def test_compare_builds_hamiltonian_once(monkeypatch):
+    calls = []
+    original = dressedgf.oracle.build_full_hamiltonian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dressedgf.oracle, "build_full_hamiltonian", counting)
+    spec, _, _ = random_gapped_bath(np.random.default_rng(43), 4, 4)
+    cases = [
+        (build_uniform_chain(3, 0.0, 1.0), (EmitterSpec(0.0, 0.5, 1),), 1,
+         "scattering_residuals"),
+        (spec, (EmitterSpec(0.1, 0.3, 1), EmitterSpec(0.1, 0.3, 5)), 2, "two_atom_poles"),
+    ]
+    for bath, emitters, seed, last_check in cases:
+        calls.clear()
+        report = compare(bath, emitters, rng=np.random.default_rng(seed))
+        assert len(calls) == 1
+        assert report.checks[-1].name == last_check
+        assert report.all_passed, report.to_dict()
 
 
 def test_compare_single_emitter_all_pass():
