@@ -6,7 +6,6 @@ emitters with their weak-coupling effective Hamiltonians.  A dense
 brute-force cross-check lives in :mod:`dressedgf.oracle`.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .bath import (
     BandStructure,
     BathSpec,

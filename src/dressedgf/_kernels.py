@@ -1,41 +1,31 @@
-"""Hot numeric kernels: bare-bath mode sums and the bisection inner loop.
-
-Every kernel has a pure-numpy implementation (``*_numpy``).  When numba is
-importable and the environment variable ``DRESSEDGF_NO_NUMBA`` is not set to a
-truthy value, the public names are rebound to ``@njit`` versions of the same
-loops; otherwise the numpy fallbacks are used.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
-"""
+"""Hot numeric kernels: bare-bath mode sums, vectorized over the modes."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# Reported by the benchmark's environment line; the kernels are plain numpy
+# and there is no numba path.
+NUMBA_ENABLED = False
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("DRESSEDGF_NO_NUMBA", "0").strip().lower()
-    return flag in ("", "0", "false", "no")
 
-
-def resolvent_sum_numpy(weights: np.ndarray, energies: np.ndarray, z: complex) -> complex:
+def resolvent_sum(weights: np.ndarray, energies: np.ndarray, z: complex) -> complex:
     """Sum of weights[k] / (z - energies[k])."""
     return complex(np.sum(weights / (z - energies)))
 
 
-def resolvent_sum_squared_numpy(weights: np.ndarray, energies: np.ndarray, z: complex) -> complex:
+def resolvent_sum_squared(weights: np.ndarray, energies: np.ndarray, z: complex) -> complex:
     """Sum of weights[k] / (z - energies[k])**2."""
     d = z - energies
     return complex(np.sum(weights / (d * d)))
 
 
-def resolvent_sum_grid_numpy(weights: np.ndarray, energies: np.ndarray, zs: np.ndarray) -> np.ndarray:
+def resolvent_sum_grid(weights: np.ndarray, energies: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """resolvent_sum evaluated for every z in ``zs``."""
     return (weights[None, :] / (zs[:, None] - energies[None, :])).sum(axis=1)
 
 
-def pole_function_grid_numpy(
+def pole_function_grid(
     weights: np.ndarray,
     energies: np.ndarray,
     omegas: np.ndarray,
@@ -50,141 +40,3 @@ def pole_function_grid_numpy(
     """
     sums = (weights[None, :] / (omegas[:, None] - energies[None, :])).sum(axis=1)
     return slope * omegas + offset - sums
-
-
-def bisect_pole_function_numpy(
-    weights: np.ndarray,
-    energies: np.ndarray,
-    slope: float,
-    offset: float,
-    a: float,
-    b: float,
-    xtol: float,
-    max_iter: int,
-) -> float:
-    """Bisect the increasing pole function on [a, b]; assumes f(a) < 0 < f(b)."""
-    lo, hi = a, b
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f = slope * mid + offset - float(np.sum(weights / (mid - energies)))
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= xtol:
-            break
-    return 0.5 * (lo + hi)
-
-
-NUMBA_ENABLED = False
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        NUMBA_ENABLED = True
-
-        @njit(cache=True)
-        def _resolvent_sum(weights, energies, z):
-            total = 0.0 + 0.0j
-            for k in range(weights.shape[0]):
-                total += weights[k] / (z - energies[k])
-            return total
-
-        @njit(cache=True)
-        def _resolvent_sum_squared(weights, energies, z):
-            total = 0.0 + 0.0j
-            for k in range(weights.shape[0]):
-                d = z - energies[k]
-                total += weights[k] / (d * d)
-            return total
-
-        @njit(cache=True)
-        def _resolvent_sum_grid(weights, energies, zs):
-            out = np.empty(zs.shape[0], dtype=np.complex128)
-            for i in range(zs.shape[0]):
-                total = 0.0 + 0.0j
-                for k in range(weights.shape[0]):
-                    total += weights[k] / (zs[i] - energies[k])
-                out[i] = total
-            return out
-
-        @njit(cache=True)
-        def _pole_function_grid(weights, energies, omegas, slope, offset):
-            out = np.empty(omegas.shape[0], dtype=np.float64)
-            for i in range(omegas.shape[0]):
-                total = 0.0
-                for k in range(weights.shape[0]):
-                    total += weights[k] / (omegas[i] - energies[k])
-                out[i] = slope * omegas[i] + offset - total
-            return out
-
-        @njit(cache=True)
-        def _bisect_pole_function(weights, energies, slope, offset, a, b, xtol, max_iter):
-            lo, hi = a, b
-            for _ in range(max_iter):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                total = 0.0
-                for k in range(weights.shape[0]):
-                    total += weights[k] / (mid - energies[k])
-                f = slope * mid + offset - total
-                if f < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= xtol:
-                    break
-            return 0.5 * (lo + hi)
-
-
-if NUMBA_ENABLED:
-
-    def resolvent_sum(weights, energies, z):
-        return complex(_resolvent_sum(
-            np.ascontiguousarray(weights, dtype=np.complex128),
-            np.ascontiguousarray(energies, dtype=np.float64),
-            complex(z),
-        ))
-
-    def resolvent_sum_squared(weights, energies, z):
-        return complex(_resolvent_sum_squared(
-            np.ascontiguousarray(weights, dtype=np.complex128),
-            np.ascontiguousarray(energies, dtype=np.float64),
-            complex(z),
-        ))
-
-    def resolvent_sum_grid(weights, energies, zs):
-        return _resolvent_sum_grid(
-            np.ascontiguousarray(weights, dtype=np.complex128),
-            np.ascontiguousarray(energies, dtype=np.float64),
-            np.ascontiguousarray(zs, dtype=np.complex128),
-        )
-
-    def pole_function_grid(weights, energies, omegas, slope, offset):
-        return _pole_function_grid(
-            np.ascontiguousarray(weights, dtype=np.float64),
-            np.ascontiguousarray(energies, dtype=np.float64),
-            np.ascontiguousarray(omegas, dtype=np.float64),
-            float(slope),
-            float(offset),
-        )
-
-    def bisect_pole_function(weights, energies, slope, offset, a, b, xtol, max_iter):
-        return float(_bisect_pole_function(
-            np.ascontiguousarray(weights, dtype=np.float64),
-            np.ascontiguousarray(energies, dtype=np.float64),
-            float(slope), float(offset), float(a), float(b), float(xtol), int(max_iter),
-        ))
-
-else:
-    resolvent_sum = resolvent_sum_numpy
-    resolvent_sum_squared = resolvent_sum_squared_numpy
-    resolvent_sum_grid = resolvent_sum_grid_numpy
-    pole_function_grid = pole_function_grid_numpy
-    bisect_pole_function = bisect_pole_function_numpy

@@ -1,4 +1,4 @@
-"""Bracketing and bisection helpers for pole-function root finding.
+"""Search intervals, bracketing and bisection for pole-function root finding.
 
 The scalar pole functions f and F are strictly increasing between their real
 poles (their derivative picks up the positive-definite squared resolvent), so
@@ -9,12 +9,41 @@ band edge.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _kernels
 
 BISECT_XTOL = 1e-12
 _EDGE_MARGINS = (1e-13, 1e-10, 1e-7, 1e-4)
+
+
+def gap_intervals(bands, lower, upper, split=None):
+    """Search intervals ``(a, b, a_open, b_open)`` over the gaps of ``bands``.
+
+    Band edges are open ends.  The half-infinite gaps end at the finite
+    ``lower`` and ``upper`` bounds, as closed ends; a bound of ``None`` skips
+    that gap.  ``split`` cuts the gap containing it in two, closed at
+    ``split``.
+    """
+    intervals = []
+    for lo, hi in bands.gaps:
+        lo_open = hi_open = True
+        if math.isinf(lo):
+            if lower is None:
+                continue
+            lo, lo_open = lower, False
+        if math.isinf(hi):
+            if upper is None:
+                continue
+            hi, hi_open = upper, False
+        if split is not None and lo < split < hi:
+            intervals.append((lo, split, lo_open, False))
+            intervals.append((split, hi, False, hi_open))
+        else:
+            intervals.append((lo, hi, lo_open, hi_open))
+    return intervals
 
 
 def grid_for_interval(a: float, b: float, a_open: bool, b_open: bool, n_grid: int) -> np.ndarray:
@@ -92,6 +121,10 @@ def pole_function_roots(weights, energies, slope, offset, intervals, n_grid=512,
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     energies = np.ascontiguousarray(energies, dtype=np.float64)
+
+    def pole_function(w):
+        return slope * w + offset - float(np.sum(weights / (w - energies)))
+
     found = []
     for a, b, a_open, b_open in intervals:
         if not (b > a):
@@ -101,9 +134,7 @@ def pole_function_roots(weights, energies, slope, offset, intervals, n_grid=512,
         roots, brackets = sign_change_brackets(xs, fv)
         found.extend(roots)
         for lo, hi, flo, fhi in brackets:
-            root = _kernels.bisect_pole_function(
-                weights, energies, slope, offset, lo, hi, xtol, 200
-            )
+            root = bisect(pole_function, lo, hi, flo, fhi, xtol)
             found.append(_newton_polish(root, weights, energies, slope, offset, lo, hi))
     return dedupe(found, 10.0 * xtol)
 
@@ -115,8 +146,3 @@ def dedupe(roots, tol: float):
             out.append(r)
     return out
 
-
-def effective_poles(energies: np.ndarray, weights: np.ndarray, weight_tol: float) -> np.ndarray:
-    """Eigenvalues that actually appear as poles (weight above threshold)."""
-    keep = np.abs(weights) >= weight_tol
-    return np.unique(energies[keep])

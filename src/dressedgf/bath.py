@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -267,19 +267,20 @@ def _check_sites(s: SpectralData, *sites: int) -> None:
             raise ValueError(f"site {x} out of range 0..{s.n_sites - 1}")
 
 
-def _regularize(s: SpectralData, z: complex, weights: np.ndarray):
-    """Apply the coinciding-mode rule for real z.
+def _coinciding_keep(s: SpectralData, z: complex, weights: np.ndarray):
+    """The coinciding-mode rule: keep-mask of the modes that enter a sum at ``z``.
 
-    Modes within ``POLE_ATOL`` of a real ``z`` are dropped when their weight
-    is below ``WEIGHT_TOL``; a coinciding mode with larger weight is a genuine
-    pole and raises.
+    Only a real ``z`` can coincide with a mode.  Modes within ``POLE_ATOL``
+    of it are dropped when their weight is below ``WEIGHT_TOL``; a coinciding
+    mode with larger weight is a genuine pole and raises.  Returns ``None``
+    when every mode is kept.
     """
     z = complex(z)
     if z.imag != 0.0:
-        return weights, s.eigenvalues
+        return None
     near = np.abs(z.real - s.eigenvalues) < POLE_ATOL
     if not near.any():
-        return weights, s.eigenvalues
+        return None
     bad = near & (np.abs(weights) >= WEIGHT_TOL)
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
@@ -287,8 +288,19 @@ def _regularize(s: SpectralData, z: complex, weights: np.ndarray):
             f"z={z.real:g} coincides with eigenvalue {s.eigenvalues[k]:.12g}"
             f" carrying weight {abs(weights[k]):.3e}"
         )
-    keep = ~near
-    return weights[keep], s.eigenvalues[keep]
+    return ~near
+
+
+def _kept_modes(s: SpectralData, z: complex, weights: np.ndarray, *per_mode):
+    """``weights`` and the ``per_mode`` arrays restricted to the kept modes.
+
+    Modes run along the last axis of every array; :func:`_coinciding_keep`
+    decides which of them enter a sum at ``z``.
+    """
+    keep = _coinciding_keep(s, z, weights)
+    if keep is None:
+        return (weights, *per_mode)
+    return (weights[keep], *(a[..., keep] for a in per_mode))
 
 
 def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
@@ -301,14 +313,14 @@ def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
         is not negligible.  Coinciding zero-weight modes are dropped.
     """
     _check_sites(s, x, xp)
-    weights, energies = _regularize(s, z, _element_weights(s, x, xp))
+    weights, energies = _kept_modes(s, z, _element_weights(s, x, xp), s.eigenvalues)
     return _kernels.resolvent_sum(weights, energies, complex(z))
 
 
 def bath_green_squared_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
     """Matrix element of the squared resolvent, ``<x| (z - H_B)^-2 |xp>``."""
     _check_sites(s, x, xp)
-    weights, energies = _regularize(s, z, _element_weights(s, x, xp))
+    weights, energies = _kept_modes(s, z, _element_weights(s, x, xp), s.eigenvalues)
     return _kernels.resolvent_sum_squared(weights, energies, complex(z))
 
 
@@ -316,21 +328,9 @@ def green_column(s: SpectralData, z: complex, x: int) -> np.ndarray:
     """Vector ``(z - H_B)^-1 |x>``; the coinciding-mode rule keys on ``<x|k>``."""
     _check_sites(s, x)
     z = complex(z)
-    coeff = np.conj(s.eigenvectors[x, :])
-    vecs = s.eigenvectors
-    energies = s.eigenvalues
-    if z.imag == 0.0:
-        near = np.abs(z.real - energies) < POLE_ATOL
-        if near.any():
-            bad = near & (np.abs(coeff) >= WEIGHT_TOL)
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                raise PoleError(
-                    f"z={z.real:g} coincides with eigenvalue {energies[k]:.12g}"
-                    f" with |<x|k>|={abs(coeff[k]):.3e}"
-                )
-            keep = ~near
-            coeff, energies, vecs = coeff[keep], energies[keep], vecs[:, keep]
+    coeff, energies, vecs = _kept_modes(
+        s, z, np.conj(s.eigenvectors[x, :]), s.eigenvalues, s.eigenvectors
+    )
     return vecs @ (coeff / (z - energies))
 
 
@@ -338,32 +338,15 @@ def green_row(s: SpectralData, z: complex, x: int) -> np.ndarray:
     """Row vector ``<x| (z - H_B)^-1``; equals the column only for symmetric baths."""
     _check_sites(s, x)
     z = complex(z)
-    coeff = s.eigenvectors[x, :]
-    vecs = s.eigenvectors
-    energies = s.eigenvalues
-    if z.imag == 0.0:
-        near = np.abs(z.real - energies) < POLE_ATOL
-        if near.any():
-            bad = near & (np.abs(coeff) >= WEIGHT_TOL)
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                raise PoleError(
-                    f"z={z.real:g} coincides with eigenvalue {energies[k]:.12g}"
-                    f" with |<x|k>|={abs(coeff[k]):.3e}"
-                )
-            keep = ~near
-            coeff, energies, vecs = coeff[keep], energies[keep], vecs[:, keep]
+    coeff, energies, vecs = _kept_modes(s, z, s.eigenvectors[x, :], s.eigenvalues, s.eigenvectors)
     return (coeff / (z - energies)) @ np.conj(vecs.T)
 
 
 def green_matrix(s: SpectralData, z: complex) -> np.ndarray:
     """Full bath resolvent matrix ``(z - H_B)^-1``."""
     z = complex(z)
-    if z.imag == 0.0:
-        near = np.abs(z.real - s.eigenvalues) < POLE_ATOL
-        if near.any():
-            k = int(np.flatnonzero(near)[0])
-            raise PoleError(f"z={z.real:g} coincides with eigenvalue {s.eigenvalues[k]:.12g}")
+    # unit weights: every coinciding mode is a pole of the full matrix
+    _coinciding_keep(s, z, np.ones(s.n_sites))
     scaled = s.eigenvectors / (z - s.eigenvalues)[None, :]
     return scaled @ np.conj(s.eigenvectors.T)
 

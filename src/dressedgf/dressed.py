@@ -1,10 +1,12 @@
 """One emitter coupled to a bath site: dressed resolvent and its states.
 
 The emitter adds one level at ``omega0`` coupled with amplitude ``g`` to a
-single bath site.  Everything follows from the rank-one structure of the
-atom-field resolvent: the pole function F pins bound states, its regularized
-boundary values build scattering states, and the vacancy-dressed states (VDS)
-appear wherever the bath Green function develops a node at the contact site.
+single bath site.  On the bath it acts as an impurity of energy-dependent
+strength ``g**2 / (z - omega0)``, so everything follows from the rank-one
+contact of :mod:`dressedgf.impurity` with pole function F in place of f: F
+pins bound states, its regularized boundary values build scattering states,
+and the vacancy-dressed states (VDS) appear wherever the bath Green function
+develops a node at the contact site.
 
 Vectors over the coupled space are ordered ``[e, x_0 .. x_{N-1}]``.
 """
@@ -25,10 +27,9 @@ from .bath import (
     default_delta,
     detect_bands,
     green_column,
-    green_matrix,
-    green_row,
 )
-from .errors import PoleError, RegimeError
+from .errors import PoleError
+from .impurity import _contact_green, _contact_scattering
 
 POLE_TOL = 1e-13
 #: |F| below this at a real mode energy sends the mode through untouched.
@@ -137,22 +138,23 @@ def dressed_state_function(s: SpectralData, e: EmitterSpec, z: complex) -> Dress
     )
 
 
-def _bra_row(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
-    # Row partner of the pole channel: (1/g)<e| + <site|G_B(z).  For complex z
-    # this is not the conjugate of the ket; it is what keeps (z - H)G = 1.
-    return np.concatenate(([1.0 / e.g], green_row(s, z, e.site)))
-
-
 def dressed_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
-    """Full resolvent of emitter plus bath over ``[e, x_0..x_{N-1}]``."""
+    """Full resolvent of emitter plus bath over ``[e, x_0..x_{N-1}]``.
+
+    The photonic block is :func:`field_green`; the emitter row and column are
+    the pole channel ``(1/g)|e> + G_B(z)|site>`` and its row partner
+    ``(1/g)<e| + <site|G_B(z)`` over F(z).  For complex z the row partner is
+    not the conjugate of the ket; it is what keeps (z - H)G = 1.
+    """
     f = pole_function_F(s, e, z)
     if abs(f) < POLE_TOL:
         raise PoleError(f"F(z)={f:.3e} at z={z}: dressed resolvent pole")
     n = s.n_sites
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[1:, 1:] = green_matrix(s, z)
-    ket = dressed_state_function(s, e, z).vector()
-    out += np.outer(ket, _bra_row(s, e, z)) / f
+    out = np.empty((n + 1, n + 1), dtype=np.complex128)
+    out[1:, 1:], psi, row = _contact_green(s, e.site, z, f)
+    c = 1.0 / e.g
+    out[0, :] = c * np.concatenate(([c], row)) / f
+    out[1:, 0] = psi * c / f
     return out
 
 
@@ -173,31 +175,7 @@ def field_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     f = pole_function_F(s, e, z)
     if abs(f) < POLE_TOL:
         raise PoleError(f"F(z)={f:.3e} at z={z}: field resolvent pole")
-    psi = green_column(s, z, e.site)
-    return green_matrix(s, z) + np.outer(psi, green_row(s, z, e.site)) / f
-
-
-def _f_search_intervals(s: SpectralData, e: EmitterSpec, bands: BandStructure):
-    w_min = float(s.eigenvalues[0])
-    w_max = float(s.eigenvalues[-1])
-    lb = min(e.omega0, w_min) - e.g - 1.0
-    ub = max(e.omega0, w_max) + e.g + 1.0
-    intervals = []
-    for lo, hi in bands.gaps:
-        if math.isinf(lo):
-            lo, lo_open = lb, False
-        else:
-            lo_open = True
-        if math.isinf(hi):
-            hi, hi_open = ub, False
-        else:
-            hi_open = True
-        if lo < e.omega0 < hi:
-            intervals.append((lo, e.omega0, lo_open, False))
-            intervals.append((e.omega0, hi, False, hi_open))
-        else:
-            intervals.append((lo, hi, lo_open, hi_open))
-    return intervals
+    return _contact_green(s, e.site, z, f)[0]
 
 
 def _vds_candidate(s: SpectralData, e: EmitterSpec):
@@ -249,9 +227,14 @@ def solve_dressed_bound_states(
     keep = weights > 1e-24
     slope = 1.0 / e.g ** 2
     offset = -e.omega0 / e.g ** 2
+    intervals = _roots.gap_intervals(
+        bands,
+        min(e.omega0, float(s.eigenvalues[0])) - e.g - 1.0,
+        max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
+        split=e.omega0,
+    )
     roots = _roots.pole_function_roots(
-        weights[keep], s.eigenvalues[keep], slope, offset,
-        _f_search_intervals(s, e, bands), n_grid=n_grid, xtol=xtol,
+        weights[keep], s.eigenvalues[keep], slope, offset, intervals, n_grid=n_grid, xtol=xtol,
     )
     vds = _vds_candidate(s, e)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
@@ -273,32 +256,12 @@ def dressed_scattering_state(
     at the mode energy means the mode cannot couple and passes through as an
     exact eigenstate with zero atomic amplitude.
     """
-    if not (0 <= k_index < s.n_sites):
-        raise ValueError(f"k_index {k_index} out of range")
     if delta is None:
         delta = default_delta(s)
-    omega = float(s.eigenvalues[k_index])
-    mode = np.array(s.eigenvectors[:, k_index])
-
-    try:
-        f_real = pole_function_F(s, e, complex(omega))
-    except PoleError:
-        f_real = None
-
-    if f_real is not None and abs(f_real) < F_NODE_TOL:
-        vector = np.concatenate(([0.0], mode))
-        regular = False
-    else:
-        regular = True
-        z = omega + 1j * delta
-        # dressed_state_function's pole-channel state, inlined so that F(z)
-        # is evaluated once per mode
-        coupling = mode[e.site] / pole_function_F(s, e, z)
-        vector = np.concatenate((
-            [coupling * (1.0 / e.g)],
-            mode + coupling * green_column(s, z, e.site),
-        ))
-
+    omega, regular, coupling, photonic = _contact_scattering(
+        s, e.site, k_index, delta, lambda z: pole_function_F(s, e, z), F_NODE_TOL
+    )
+    vector = np.concatenate(([coupling * (1.0 / e.g)], photonic))
     residual = _scattering_residual(s, e, omega, vector)
     return ScatteringState(
         k_index=k_index, energy=omega, vector=vector, regular=regular,

@@ -1,8 +1,11 @@
 """Single static impurity in a finite bath: resolvent, bound and scattering states.
 
 The impurity adds ``strength * |site><site|`` to the bath Hamiltonian.  All
-results come from the rank-one update of the bare resolvent; the vacancy
-(infinite-strength) limit is handled by its own closed form.
+results come from the rank-one update of the bare resolvent by a contact at
+``site`` with pole function ``f(z)``: ``f = 1/strength - <site|G_B|site>``
+here, ``f = -<site|G_B|site>`` in the vacancy (infinite-strength) limit.  An
+emitter is the same contact with an energy-dependent strength, so
+:mod:`dressedgf.dressed` builds on the contact helpers of this module.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _roots, bath as _bath
+from . import _roots
 from .bath import (
     BandStructure,
     SpectralData,
@@ -78,6 +81,42 @@ def impurity_pole_function(s: SpectralData, spec: ImpuritySpec, z: complex) -> c
     return 1.0 / spec.strength - bath_green_element(s, z, spec.site, spec.site)
 
 
+def _contact_green(s: SpectralData, site: int, z: complex, f: complex):
+    """Rank-one contact resolvent ``G_B + G_B|site><site|G_B / f``.
+
+    Returns the matrix together with the column ``G_B|site>`` and the row
+    ``<site|G_B`` it was built from.
+    """
+    psi = green_column(s, z, site)
+    row = green_row(s, z, site)
+    return green_matrix(s, z) + np.outer(psi, row) / f, psi, row
+
+
+def _contact_scattering(s: SpectralData, site: int, k_index: int, delta: float, f, node_tol):
+    """Scattering branch of a contact at ``site`` with pole function ``f(z)``.
+
+    ``f`` at the real energy omega of bath mode ``k_index`` decides: below
+    ``node_tol`` in modulus the mode cannot couple and passes through
+    untouched; a genuine pole of f there, or any larger value, takes the
+    regular branch ``mode + coupling * G_B(z)|site>`` with ``coupling =
+    mode[site] / f(z)`` at ``z = omega + 1j*delta``.  Returns ``(omega,
+    regular, coupling, vector)``; the coupling of an untouched mode is 0.
+    """
+    if not (0 <= k_index < s.n_sites):
+        raise ValueError(f"k_index {k_index} out of range")
+    omega = float(s.eigenvalues[k_index])
+    mode = np.array(s.eigenvectors[:, k_index])
+    try:
+        f_real = f(complex(omega))
+    except PoleError:
+        f_real = None  # genuine pole of f at omega: the regular branch applies
+    if f_real is not None and abs(f_real) < node_tol:
+        return omega, False, 0.0, mode
+    z = omega + 1j * delta
+    coupling = mode[site] / f(z)
+    return omega, True, coupling, mode + coupling * green_column(s, z, site)
+
+
 def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarray:
     """Resolvent of bath plus impurity via the rank-one update of G_B.
 
@@ -92,49 +131,24 @@ def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarra
     f = impurity_pole_function(s, spec, z)
     if abs(f) < POLE_TOL:
         raise PoleError(f"f(z)={f:.3e} at z={z}: impurity resolvent pole")
-    psi = green_column(s, z, spec.site)
-    row = green_row(s, z, spec.site)
-    return green_matrix(s, z) + np.outer(psi, row) / f
+    return _contact_green(s, spec.site, z, f)[0]
 
 
 def vacancy_green(s: SpectralData, site: int, z: complex) -> np.ndarray:
     """Infinite-strength limit: resolvent of the bath with ``site`` removed.
 
-    ``G_B - |psi><site|G_B / gamma`` with ``gamma = <site|G_B|site>``; the row
-    and column at ``site`` vanish identically and the rest equals the
+    The contact resolvent with ``f = -gamma``, ``gamma = <site|G_B|site>``;
+    the row and column at ``site`` vanish identically and the rest equals the
     resolvent of the deleted-site bath.
     """
     gamma = bath_green_element(s, z, site, site)
     if abs(gamma) < POLE_TOL:
         raise PoleError(f"<site|G_B|site>={gamma:.3e} at z={z}: vacancy resolvent pole")
-    psi = green_column(s, z, site)
-    row = green_row(s, z, site)
-    out = green_matrix(s, z) - np.outer(psi, row) / gamma
+    out = _contact_green(s, site, z, -gamma)[0]
     # The projected row/col are exact zeros up to roundoff; pin them.
     out[site, :] = 0.0
     out[:, site] = 0.0
     return out
-
-
-def _pole_search_intervals(s: SpectralData, spec: ImpuritySpec, bands: BandStructure):
-    """Finite search intervals: every gap, with tail bounds set by the strength."""
-    w_min = float(s.eigenvalues[0])
-    w_max = float(s.eigenvalues[-1])
-    intervals = []
-    for lo, hi in bands.gaps:
-        if math.isinf(lo) and math.isinf(hi):
-            continue
-        if math.isinf(lo):
-            if spec.is_vacancy or spec.strength > 0.0:
-                continue  # tail root only exists on the attractive side
-            intervals.append((w_min - abs(spec.strength) - 1.0, hi, False, True))
-        elif math.isinf(hi):
-            if spec.is_vacancy or spec.strength < 0.0:
-                continue
-            intervals.append((lo, w_max + spec.strength + 1.0, True, False))
-        else:
-            intervals.append((lo, hi, True, True))
-    return intervals
 
 
 def solve_impurity_bound_state(
@@ -158,7 +172,13 @@ def solve_impurity_bound_state(
     weights = np.abs(s.eigenvectors[spec.site, :]) ** 2
     keep = weights > 1e-24
     offset = 0.0 if spec.is_vacancy else 1.0 / spec.strength
-    intervals = _pole_search_intervals(s, spec, bands)
+    # the tail root sits below the bands when attractive, above when repulsive
+    v = spec.strength
+    intervals = _roots.gap_intervals(
+        bands,
+        None if spec.is_vacancy or v > 0.0 else float(s.eigenvalues[0]) - abs(v) - 1.0,
+        None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
+    )
     roots = _roots.pole_function_roots(
         weights[keep], s.eigenvalues[keep], 0.0, offset, intervals, n_grid=n_grid, xtol=xtol
     )
@@ -192,41 +212,18 @@ def impurity_scattering_state(
     real axis; modes where f vanishes (a node of the mode at the impurity
     site, with the right energy) pass through untouched.
     """
-    if not (0 <= k_index < s.n_sites):
-        raise ValueError(f"k_index {k_index} out of range")
     if delta is None:
         delta = default_delta(s)
-    omega = float(s.eigenvalues[k_index])
-    mode = np.array(s.eigenvectors[:, k_index])
 
-    f_real = None
-    if not spec.is_vacancy and spec.strength == 0.0:
-        f_real = math.inf  # no impurity: every mode is untouched but regular
-    else:
-        try:
-            f_real = impurity_pole_function(s, spec, complex(omega)) if not spec.is_vacancy \
-                else -bath_green_element(s, complex(omega), spec.site, spec.site)
-        except PoleError:
-            f_real = None  # genuine pole of f at omega: the regular branch applies
+    def f(z):
+        # 1/strength - gamma: -gamma for the vacancy, and without an impurity
+        # f is infinite, so every mode stays regular and untouched
+        if spec.strength == 0.0:
+            return math.inf
+        gamma = bath_green_element(s, z, spec.site, spec.site)
+        return -gamma if spec.is_vacancy else 1.0 / spec.strength - gamma
 
-    if f_real is not None and abs(f_real) < NODE_TOL:
-        vector = mode
-        regular = False
-    else:
-        regular = True
-        z = omega + 1j * delta
-        if spec.is_vacancy:
-            f_z = -bath_green_element(s, z, spec.site, spec.site)
-        elif spec.strength == 0.0:
-            f_z = None
-        else:
-            f_z = impurity_pole_function(s, spec, z)
-        if f_z is None:
-            vector = mode
-        else:
-            psi = green_column(s, z, spec.site)
-            vector = mode + (mode[spec.site] / f_z) * psi
-
+    omega, regular, _, vector = _contact_scattering(s, spec.site, k_index, delta, f, NODE_TOL)
     residual = _scattering_residual(s, spec, omega, vector)
     return ImpurityScatteringState(
         k_index=k_index, energy=omega, vector=vector, regular=regular, residual=residual

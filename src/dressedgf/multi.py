@@ -27,7 +27,6 @@ from .bath import (
     green_matrix,
     green_row,
 )
-from .dressed import EmitterSpec
 from .errors import PoleError, RegimeError
 
 POLE_TOL = 1e-13
@@ -137,29 +136,17 @@ class EffectiveHamiltonian:
     decomposition: TwoAtomDecomposition | None = None
 
 
-def _gamma_submatrix(s: SpectralData, sites, z: complex) -> np.ndarray:
+def _site_block(element, s: SpectralData, sites, z: complex) -> np.ndarray:
+    """M x M block ``element(s, z, x_i, x_j)`` over the contact sites."""
     m = len(sites)
     out = np.empty((m, m), dtype=np.complex128)
     for i, xi in enumerate(sites):
         for j, xj in enumerate(sites):
             if j < i:
                 continue
-            out[i, j] = bath_green_element(s, z, xi, xj)
+            out[i, j] = element(s, z, xi, xj)
             if j > i:
-                out[j, i] = bath_green_element(s, z, xj, xi)
-    return out
-
-
-def _gamma_sq_submatrix(s: SpectralData, sites, z: complex) -> np.ndarray:
-    m = len(sites)
-    out = np.empty((m, m), dtype=np.complex128)
-    for i, xi in enumerate(sites):
-        for j, xj in enumerate(sites):
-            if j < i:
-                continue
-            out[i, j] = bath_green_squared_element(s, z, xi, xj)
-            if j > i:
-                out[j, i] = bath_green_squared_element(s, z, xj, xi)
+                out[j, i] = element(s, z, xj, xi)
     return out
 
 
@@ -170,7 +157,7 @@ def f_matrix(s: SpectralData, arr: EmitterArraySpec, z: complex) -> FMatrix:
     control the weak-coupling doublet are attached.
     """
     z = complex(z)
-    gam = _gamma_submatrix(s, arr.sites, z)
+    gam = _site_block(bath_green_element, s, arr.sites, z)
     mat = -gam
     diag = (z - arr.omega0) / arr.g ** 2
     mat[np.diag_indices(arr.m)] += diag
@@ -192,7 +179,7 @@ def overlap_matrix(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.n
     omega = complex(omega)
     if omega.imag != 0.0:
         raise ValueError("overlap matrix is defined at real energies only")
-    out = _gamma_sq_submatrix(s, arr.sites, omega)
+    out = _site_block(bath_green_squared_element, s, arr.sites, omega)
     out[np.diag_indices(arr.m)] += 1.0 / arr.g ** 2
     return out
 
@@ -215,19 +202,27 @@ def _psi_bras(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
     return bras
 
 
-def multi_green(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
-    """Full resolvent over ``[e_1..e_M, x_0..x_{N-1}]`` via the rank-M update."""
+def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex):
+    """Rank-M resolvent ``G_B + kets F(z)^-1 bras`` and the pieces it is built from.
+
+    Returns ``(green, base, kets, bras)``, with ``base`` the bare ``G_B(z)``
+    padded to the coupled space.
+    """
     fm = f_matrix(s, arr, z).matrix
     cond = np.linalg.cond(fm)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise PoleError(f"F(z) numerically singular at z={z} (cond={cond:.3e})")
     m, n = arr.m, s.n_sites
-    out = np.zeros((m + n, m + n), dtype=np.complex128)
-    out[m:, m:] = green_matrix(s, z)
+    base = np.zeros((m + n, m + n), dtype=np.complex128)
+    base[m:, m:] = green_matrix(s, z)
     kets = _psi_kets(s, arr, z)
     bras = _psi_bras(s, arr, z)
-    out += kets @ np.linalg.solve(fm, bras)
-    return out
+    return base + kets @ np.linalg.solve(fm, bras), base, kets, bras
+
+
+def multi_green(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
+    """Full resolvent over ``[e_1..e_M, x_0..x_{N-1}]`` via the rank-M update."""
+    return _rank_m_green(s, arr, z)[0]
 
 
 def t_matrix_series_green(
@@ -247,19 +242,13 @@ def t_matrix_series_green(
     if abs(z - arr.omega0) < POLE_TOL:
         raise PoleError(f"bare emitter pole at z={z}")
     gamma_e = 1.0 / (z - arr.omega0)
-    gam = _gamma_submatrix(s, arr.sites, z)
+    gam = _site_block(bath_green_element, s, arr.sites, z)
     t = arr.g ** 2 * gamma_e * gam
     rho = float(np.max(np.abs(np.linalg.eigvals(t))))
 
-    closed = multi_green(s, arr, z)
-    m, n = arr.m, s.n_sites
-    base = np.zeros((m + n, m + n), dtype=np.complex128)
-    base[m:, m:] = green_matrix(s, z)
-    kets = _psi_kets(s, arr, z)
-    bras = _psi_bras(s, arr, z)
-
-    h = np.eye(m, dtype=np.complex128)
-    term = np.eye(m, dtype=np.complex128)
+    closed, base, kets, bras = _rank_m_green(s, arr, z)
+    h = np.eye(arr.m, dtype=np.complex128)
+    term = np.eye(arr.m, dtype=np.complex128)
     residuals = []
     for _ in range(k_max + 1):
         approx = base + arr.g ** 2 * gamma_e * (kets @ h @ bras)
@@ -270,22 +259,6 @@ def t_matrix_series_green(
         spectral_radius=rho, converged=rho < 1.0, k_max=k_max, residuals=tuple(residuals)
     )
     return approx, report
-
-
-def _branch_search_intervals(s: SpectralData, arr: EmitterArraySpec, bands: BandStructure):
-    w_min = float(s.eigenvalues[0])
-    w_max = float(s.eigenvalues[-1])
-    lb = min(arr.omega0, w_min) - arr.g - 1.0
-    ub = max(arr.omega0, w_max) + arr.g + 1.0
-    intervals = []
-    for lo, hi in bands.gaps:
-        lo_open, hi_open = True, True
-        if math.isinf(lo):
-            lo, lo_open = lb, False
-        if math.isinf(hi):
-            hi, hi_open = ub, False
-        intervals.append((lo, hi, lo_open, hi_open))
-    return intervals
 
 
 def _pair_weights(s: SpectralData, sites):
@@ -331,7 +304,12 @@ def det_f_roots(
         return (w - shift) * slope - mu[b]
 
     roots = []
-    for a, b_end, a_open, b_open in _branch_search_intervals(s, arr, bands):
+    intervals = _roots.gap_intervals(
+        bands,
+        min(arr.omega0, float(energies[0])) - arr.g - 1.0,
+        max(arr.omega0, float(energies[-1])) + arr.g + 1.0,
+    )
+    for a, b_end, a_open, b_open in intervals:
         if not (b_end > a):
             continue
         xs = _roots.grid_for_interval(a, b_end, a_open, b_open, n_grid)
@@ -359,7 +337,7 @@ def _polish_branch_root(s, arr, root, b, lo, hi, gamma_at):
         mu, vecs = np.linalg.eigh(gamma_at(w))
         f = (w - arr.omega0) / arr.g ** 2 - mu[b]
         v = vecs[:, b]
-        gsq = _gamma_sq_submatrix(s, sites, complex(w))
+        gsq = _site_block(bath_green_squared_element, s, sites, complex(w))
         fp = 1.0 / arr.g ** 2 + float(np.real(np.conj(v) @ gsq @ v))
         if fp <= 0.0 or not np.isfinite(fp):
             break
