@@ -157,7 +157,11 @@ def f_matrix(s: SpectralData, arr: EmitterArraySpec, z: complex) -> FMatrix:
     control the weak-coupling doublet are attached.
     """
     z = complex(z)
-    gam = _site_block(bath_green_element, s, arr.sites, z)
+    return _f_from_block(arr, z, _site_block(bath_green_element, s, arr.sites, z))
+
+
+def _f_from_block(arr: EmitterArraySpec, z: complex, gam: np.ndarray) -> FMatrix:
+    """:func:`f_matrix` from an already built Gamma_S block ``gam``."""
     mat = -gam
     diag = (z - arr.omega0) / arr.g ** 2
     mat[np.diag_indices(arr.m)] += diag
@@ -202,13 +206,14 @@ def _psi_bras(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
     return bras
 
 
-def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex):
+def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex, gam=None):
     """Rank-M resolvent ``G_B + kets F(z)^-1 bras`` and the pieces it is built from.
 
     Returns ``(green, base, kets, bras)``, with ``base`` the bare ``G_B(z)``
-    padded to the coupled space.
+    padded to the coupled space.  A caller that already holds the Gamma_S
+    block at ``z`` passes it as ``gam``.
     """
-    fm = f_matrix(s, arr, z).matrix
+    fm = f_matrix(s, arr, z).matrix if gam is None else _f_from_block(arr, z, gam).matrix
     cond = np.linalg.cond(fm)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise PoleError(f"F(z) numerically singular at z={z} (cond={cond:.3e})")
@@ -246,7 +251,7 @@ def t_matrix_series_green(
     t = arr.g ** 2 * gamma_e * gam
     rho = float(np.max(np.abs(np.linalg.eigvals(t))))
 
-    closed, base, kets, bras = _rank_m_green(s, arr, z)
+    closed, base, kets, bras = _rank_m_green(s, arr, z, gam)
     h = np.eye(arr.m, dtype=np.complex128)
     term = np.eye(arr.m, dtype=np.complex128)
     residuals = []

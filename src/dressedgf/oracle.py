@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _fix_phases
+from .bath import BathSpec, _dense_eigh, _fix_phases
 from .errors import PoleError
 
 
@@ -88,7 +88,7 @@ def build_full_hamiltonian(spec: BathSpec, emitters) -> np.ndarray:
 
 
 def _eigensystem(h: np.ndarray):
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = _dense_eigh(h)
     return np.ascontiguousarray(evals, dtype=np.float64), _fix_phases(evecs)
 
 
@@ -117,7 +117,7 @@ def _solve_resolvent(h: np.ndarray, evals: np.ndarray, z: complex) -> np.ndarray
 def direct_resolvent(spec: BathSpec, emitters, z: complex) -> np.ndarray:
     """``(z - H)^-1`` by dense linear solve; refuses nearly singular shifts."""
     h = build_full_hamiltonian(spec, emitters)
-    return _solve_resolvent(h, np.linalg.eigvalsh(h), z)
+    return _solve_resolvent(h, _dense_eigh(h, vectors=False), z)
 
 
 DEFAULT_CHECKS = (

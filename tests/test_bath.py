@@ -23,6 +23,7 @@ from dressedgf import (
     green_row,
     load_bath_spec,
 )
+from dressedgf.bath import _fix_phases
 
 from conftest import random_bath_spec
 
@@ -156,6 +157,45 @@ def test_phase_convention_leading_component_real_positive():
             assert lead.real > 0
 
 
+REAL_BATHS = {
+    "chain": build_uniform_chain(40, 0.3, 1.0),
+    "ssh-topological": build_ssh_chain(20, 0.0, 0.5, 1.0),
+    "ssh-trivial": build_ssh_chain(20, 0.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_BATHS))
+def test_real_bath_is_solved_as_real_symmetric(name, monkeypatch):
+    spec = REAL_BATHS[name]
+    complex_evals, _ = np.linalg.eigh(spec.to_matrix())
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(h):
+        seen.append(h.dtype)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    s = diagonalize_bath(spec)
+    assert seen == [np.float64]
+    assert s.eigenvectors.dtype == np.complex128
+    assert not np.any(s.eigenvectors.imag)
+    for k in range(s.n_sites):
+        col = s.eigenvectors[:, k]
+        assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]].real > 0
+    assert np.max(np.abs(s.eigenvalues - complex_evals)) <= 1e-13 * s.spectral_width
+
+
+def test_complex_bath_keeps_the_complex_solver():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        spec = random_bath_spec(rng)
+        s = diagonalize_bath(spec)
+        evals, evecs = np.linalg.eigh(spec.to_matrix())
+        assert np.array_equal(s.eigenvalues, evals)
+        assert np.array_equal(s.eigenvectors, _fix_phases(evecs))
+
+
 # -------------------------------------------------------- green elements
 
 
@@ -263,6 +303,14 @@ def test_detect_bands_single_level():
 def test_detect_bands_gap_factor():
     with pytest.raises(ValueError, match="gap_factor"):
         detect_bands(diagonalize_bath(build_uniform_chain(5, 0.0, 1.0)), gap_factor=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 3(ii): the edge pair is read as a band")
+def test_detect_bands_does_not_read_topological_edge_pair_as_band():
+    s = diagonalize_bath(build_ssh_chain(50, 0.0, 0.5, 1.0))
+    bands = detect_bands(s)
+    # the bulk gap is (-0.5, 0.5); only the two edge levels lie inside it
+    assert [(lo, hi) for lo, hi in bands.bands if -0.5 < lo and hi < 0.5] == []
 
 
 def test_default_delta_scales_with_width():

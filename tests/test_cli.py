@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dressedgf import cli
+from dressedgf import cli, diagonalize_bath
 
 
 def _write_config(tmp_path, name, payload):
@@ -45,6 +45,37 @@ def test_spectrum_outputs_sorted_levels_and_single_band(tmp_path):
     # one band plus the two unbounded exterior gaps
     assert kinds == ["gap", "band", "gap"]
     assert band_rows[0][1] == "-inf" and band_rows[2][2] == "inf"
+
+
+def test_spectrum_computes_levels_only(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 12
+    complex_bath = {
+        "n_sites": n,
+        "frequencies": rng.uniform(-1.0, 1.0, n).tolist(),
+        "hoppings": [[x, x + 1, *rng.uniform(0.2, 1.0, 2).tolist()] for x in range(n - 1)],
+    }
+    real_bath = {"builder": "ssh", "n_cells": 10, "omega_c": 0.0, "j1": 0.5, "j2": 1.0}
+    refs = {}
+    for name, bath in (("real", real_bath), ("complex", complex_bath)):
+        spec = cli.RunConfig({"bath": bath}).bath_spec
+        refs[name] = diagonalize_bath(spec).eigenvalues, np.linalg.eigvalsh(spec.to_matrix())
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("spectrum must not compute eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    for name, bath in (("real", real_bath), ("complex", complex_bath)):
+        out = tmp_path / name
+        cfg = _write_config(tmp_path, f"{name}.json", {"bath": bath})
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "spectrum.csv")
+        energies = np.array([float(r[1]) for r in rows])
+        with_vectors, complex_levels = refs[name]
+        width = with_vectors[-1] - with_vectors[0]
+        assert np.max(np.abs(energies - with_vectors)) <= 1e-13 * width
+        if name == "complex":
+            assert np.array_equal(energies, complex_levels)
 
 
 def test_spectrum_reports_dimerized_gap(tmp_path):
@@ -138,6 +169,32 @@ def test_effective_json_and_g_sweep(tmp_path):
     assert header == ["g", "max_eigenvalue_error"]
     assert [float(r[0]) for r in rows] == [0.05, 0.1]
     assert float(rows[0][1]) < float(rows[1][1])
+
+
+def test_effective_solves_each_full_hamiltonian_once(tmp_path, monkeypatch):
+    n, m = 60, 2
+    cfg = _write_config(tmp_path, "run.json", {
+        "bath": {"builder": "chain", "n_sites": n, "omega_c": 0.0, "j": 1.0},
+        "emitters": [
+            {"omega0": 2.5, "g": 0.1, "site": 28},
+            {"omega0": 2.5, "g": 0.1, "site": 32},
+        ],
+        "g_sweep": [0.05, 0.1, 0.2, 0.05],
+    })
+    sizes = []
+    dense_eigh = cli._dense_eigh
+
+    def counting(h, vectors=True):
+        sizes.append(h.shape[0])
+        return dense_eigh(h, vectors)
+
+    monkeypatch.setattr(cli, "_dense_eigh", counting)
+    assert cli.main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # the config's g, then the sweep values 0.05 and 0.2; 0.1 and the repeated
+    # 0.05 reuse a spectrum already solved
+    assert sizes.count(n + m) == 1 + 2
+    _, rows = _read_csv(tmp_path / "gsweep.csv")
+    assert rows[0] == rows[3]
 
 
 def test_effective_in_band_fails_with_runtime_exit(tmp_path, capsys):

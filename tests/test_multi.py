@@ -32,6 +32,7 @@ from dressedgf import (
     solve_two_atom_poles,
     t_matrix_series_green,
 )
+from dressedgf import multi
 
 from conftest import random_gapped_bath, random_z
 
@@ -214,6 +215,22 @@ def test_t_matrix_series_divergence_is_reported_not_raised():
     h = build_full_hamiltonian(spec, arr.emitters)
     ref = np.linalg.inv(z * np.eye(10) - h)
     np.testing.assert_allclose(multi_green(s, arr, z), ref, atol=1e-9)
+
+
+def test_t_matrix_series_builds_gamma_block_once(monkeypatch):
+    rng = np.random.default_rng(63)
+    _, s, _ = random_gapped_bath(rng, 4, 4)
+    arr = _pair(0.1, 0.5, 1, 5)
+    calls = []
+    element = multi.bath_green_element
+
+    def counting(*args):
+        calls.append(args)
+        return element(*args)
+
+    monkeypatch.setattr(multi, "bath_green_element", counting)
+    t_matrix_series_green(s, arr, 0.1 + 2.5j)
+    assert len(calls) == arr.m ** 2
 
 
 def test_t_matrix_series_pole_at_omega0():
