@@ -29,7 +29,7 @@ from .bath import (
     green_column,
 )
 from .errors import PoleError
-from .impurity import _contact_green, _contact_scattering
+from .impurity import _contact_green, _contact_roots, _contact_scattering
 
 POLE_TOL = 1e-13
 #: |F| below this at a real mode energy sends the mode through untouched.
@@ -223,19 +223,14 @@ def solve_dressed_bound_states(
     """
     if bands is None:
         bands = detect_bands(s)
-    weights = np.abs(s.eigenvectors[e.site, :]) ** 2
-    keep = weights > 1e-24
-    slope = 1.0 / e.g ** 2
-    offset = -e.omega0 / e.g ** 2
     intervals = _roots.gap_intervals(
         bands,
         min(e.omega0, float(s.eigenvalues[0])) - e.g - 1.0,
         max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
         split=e.omega0,
     )
-    roots = _roots.pole_function_roots(
-        weights[keep], s.eigenvalues[keep], slope, offset, intervals, n_grid=n_grid, xtol=xtol,
-    )
+    g2 = e.g ** 2
+    roots = _contact_roots(s, e.site, 1.0 / g2, -e.omega0 / g2, intervals, n_grid, xtol)
     vds = _vds_candidate(s, e)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
         roots = sorted(roots + [vds])

@@ -117,6 +117,15 @@ def _contact_scattering(s: SpectralData, site: int, k_index: int, delta: float, 
     return omega, True, coupling, mode + coupling * green_column(s, z, site)
 
 
+def _contact_roots(s: SpectralData, site: int, slope, offset, intervals, n_grid, xtol):
+    """Roots of ``slope*w + offset - <site|G_B(w)|site>`` on ``intervals``."""
+    weights = np.abs(s.eigenvectors[site, :]) ** 2
+    keep = weights > 1e-24
+    return _roots.contact_roots(
+        weights[keep][None, None], s.eigenvalues[keep], slope, offset, intervals, n_grid, xtol
+    )
+
+
 def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarray:
     """Resolvent of bath plus impurity via the rank-one update of G_B.
 
@@ -169,8 +178,6 @@ def solve_impurity_bound_state(
         bands = detect_bands(s)
     if not spec.is_vacancy and spec.strength == 0.0:
         return []
-    weights = np.abs(s.eigenvectors[spec.site, :]) ** 2
-    keep = weights > 1e-24
     offset = 0.0 if spec.is_vacancy else 1.0 / spec.strength
     # the tail root sits below the bands when attractive, above when repulsive
     v = spec.strength
@@ -179,11 +186,8 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v > 0.0 else float(s.eigenvalues[0]) - abs(v) - 1.0,
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
-    roots = _roots.pole_function_roots(
-        weights[keep], s.eigenvalues[keep], 0.0, offset, intervals, n_grid=n_grid, xtol=xtol
-    )
     states = []
-    for w in roots:
+    for w in _contact_roots(s, spec.site, 0.0, offset, intervals, n_grid, xtol):
         g2 = bath_green_squared_element(s, w, spec.site, spec.site).real
         if g2 <= 0.0:
             continue

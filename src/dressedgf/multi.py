@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _roots
+from . import _roots
 from .bath import (
     BandStructure,
     SpectralData,
@@ -266,14 +266,6 @@ def t_matrix_series_green(
     return approx, report
 
 
-def _pair_weights(s: SpectralData, sites):
-    m = len(sites)
-    return {
-        (i, j): s.eigenvectors[sites[i], :] * np.conj(s.eigenvectors[sites[j], :])
-        for i in range(m) for j in range(m)
-    }
-
-
 def det_f_roots(
     s: SpectralData,
     arr: EmitterArraySpec,
@@ -291,69 +283,16 @@ def det_f_roots(
     """
     if bands is None:
         bands = detect_bands(s)
-    m = arr.m
-    weights = _pair_weights(s, arr.sites)
-    energies = s.eigenvalues
-    slope = 1.0 / arr.g ** 2
-    shift = arr.omega0
-
-    def gamma_at(w: float) -> np.ndarray:
-        gm = np.empty((m, m), dtype=np.complex128)
-        for i in range(m):
-            for j in range(m):
-                gm[i, j] = _kernels.resolvent_sum(weights[(i, j)], energies, complex(w))
-        return gm
-
-    def branch_value(w: float, b: int) -> float:
-        mu = np.linalg.eigvalsh(gamma_at(w))
-        return (w - shift) * slope - mu[b]
-
-    roots = []
+    v = s.eigenvectors[list(arr.sites), :]
     intervals = _roots.gap_intervals(
         bands,
-        min(arr.omega0, float(energies[0])) - arr.g - 1.0,
-        max(arr.omega0, float(energies[-1])) + arr.g + 1.0,
+        min(arr.omega0, float(s.eigenvalues[0])) - arr.g - 1.0,
+        max(arr.omega0, float(s.eigenvalues[-1])) + arr.g + 1.0,
     )
-    for a, b_end, a_open, b_open in intervals:
-        if not (b_end > a):
-            continue
-        xs = _roots.grid_for_interval(a, b_end, a_open, b_open, n_grid)
-        stack = np.empty((xs.shape[0], m, m), dtype=np.complex128)
-        for i in range(m):
-            for j in range(m):
-                stack[:, i, j] = _kernels.resolvent_sum_grid(
-                    weights[(i, j)], energies, xs.astype(np.complex128)
-                )
-        mu = np.linalg.eigvalsh(stack)
-        hv = (xs - shift)[:, None] * slope - mu
-        for b in range(m):
-            exact, brackets = _roots.sign_change_brackets(xs, hv[:, b])
-            roots.extend(exact)
-            for lo, hi, flo, fhi in brackets:
-                root = _roots.bisect(lambda w: branch_value(w, b), lo, hi, flo, fhi, xtol)
-                roots.append(_polish_branch_root(s, arr, root, b, lo, hi, gamma_at))
-    return sorted(roots)
-
-
-def _polish_branch_root(s, arr, root, b, lo, hi, gamma_at):
-    w = root
-    sites = arr.sites
-    for _ in range(3):
-        mu, vecs = np.linalg.eigh(gamma_at(w))
-        f = (w - arr.omega0) / arr.g ** 2 - mu[b]
-        v = vecs[:, b]
-        gsq = _site_block(bath_green_squared_element, s, sites, complex(w))
-        fp = 1.0 / arr.g ** 2 + float(np.real(np.conj(v) @ gsq @ v))
-        if fp <= 0.0 or not np.isfinite(fp):
-            break
-        nxt = w - f / fp
-        if not (lo < nxt < hi):
-            break
-        if abs(nxt - w) < 1e-15 * max(1.0, abs(w)):
-            w = nxt
-            break
-        w = nxt
-    return w
+    return _roots.contact_roots(
+        v[:, None, :] * np.conj(v[None, :, :]), s.eigenvalues,
+        1.0 / arr.g ** 2, -arr.omega0 / arr.g ** 2, intervals, n_grid, xtol,
+    )
 
 
 def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.ndarray:

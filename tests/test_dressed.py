@@ -13,6 +13,7 @@ from dressedgf import (
     build_full_hamiltonian,
     build_uniform_chain,
     classify_vds,
+    detect_bands,
     diagonalize_bath,
     dressed_green,
     dressed_scattering_state,
@@ -161,6 +162,48 @@ def test_bound_state_completeness_random_instances():
             assert abs(b.energy - w) < 1e-9
             assert abs(np.linalg.norm(b.vector()) - 1.0) < 1e-10
             assert eigenspace_fidelity(h, b.energy, b.vector()) > 1 - 1e-9
+
+
+def _assert_in_gap_roots_match_oracle(spec, e):
+    s = diagonalize_bath(spec)
+    bands = detect_bands(s)
+    got = [b.energy for b in solve_dressed_bound_states(s, e, bands) if not b.in_band]
+    evals = np.linalg.eigvalsh(build_full_hamiltonian(spec, (e,)))
+    ref = [float(w) for w in evals if bands.in_gap(w)]
+    assert len(got) == len(ref)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+
+
+def test_band_edge_margin_does_not_round_onto_the_pole():
+    # length * 1e-13 of the gap above the band is below the float spacing at
+    # its edge, so the first margin point must be kept inside the gap
+    _assert_in_gap_roots_match_oracle(
+        build_uniform_chain(1000, 0.0, 1.0), EmitterSpec(2.0005, 0.1, 500)
+    )
+
+
+def _chain_with_side_level(t):
+    """Chain of 40 sites plus a level at 3.0 hopping ``t`` to site 0."""
+    chain = build_uniform_chain(40, 0.0, 1.0)
+    return BathSpec(
+        n_sites=41,
+        frequencies=chain.frequencies + (3.0,),
+        hoppings=chain.hoppings + ((40, 0, t),),
+    )
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(6e-6, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP 3(iii): a root 1e-13 above a weak level lies inside the first margin",
+    )),
+    pytest.param(1.2e-5, marks=pytest.mark.xfail(
+        strict=True, raises=PoleError,
+        reason="ROADMAP 3(iv): a root within POLE_ATOL of a level of weight 2.1e-11",
+    )),
+])
+def test_root_next_to_weakly_coupled_level(t):
+    _assert_in_gap_roots_match_oracle(_chain_with_side_level(t), EmitterSpec(2.5, 0.1, 0))
 
 
 # --------------------------------------------------------------- resolvent
