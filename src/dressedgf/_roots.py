@@ -122,6 +122,15 @@ def _branches(gam: np.ndarray, vectors: bool = False):
     return np.linalg.eigh(gam) if vectors else np.linalg.eigvalsh(gam)
 
 
+def pole_function_grid(weights, energies, xs, slope, offset) -> np.ndarray:
+    """The M sorted branches of F(w) = (slope*w + offset) - Gamma_S(w) on a real grid.
+
+    Row ``n`` holds the branch values at ``xs[n]``, ascending in Gamma_S and
+    so descending in F.
+    """
+    return slope * xs[:, None] + offset - _branches(_gamma(weights, energies, xs))
+
+
 def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
                   xtol: float = BISECT_XTOL):
     """Roots of the M sorted branches of F(w) = (slope*w + offset) - Gamma_S(w).
@@ -165,7 +174,7 @@ def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
         if not (b_end > a):
             continue
         xs = grid_for_interval(a, b_end, a_open, b_open, n_grid)
-        values = slope * xs[:, None] + offset - _branches(_gamma(weights, energies, xs))
+        values = pole_function_grid(weights, energies, xs, slope, offset)
         for b in range(m):
             exact, brackets = sign_change_brackets(xs, values[:, b])
             found[b].extend(exact)

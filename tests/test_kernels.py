@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dressedgf import _kernels
+from dressedgf import _kernels, _roots
 
 
 def _random_mode_data(rng, n):
@@ -38,3 +38,17 @@ def test_resolvent_sum_squared_matches_numpy():
         got = _kernels.resolvent_sum_squared(weights, energies, z)
         ref = _loop_sum(weights, energies, z, power=2)
         assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+def test_pole_function_grid_matches_numpy():
+    rng = np.random.default_rng(14)
+    weights = np.abs(rng.normal(size=20)) + 0.01
+    energies = np.sort(rng.uniform(-2.0, 2.0, 20))
+    grid = np.linspace(2.1, 5.0, 200)
+    for omega0, g in [(2.5, 0.3), (-3.0, 0.7)]:
+        slope, offset = 1.0 / g**2, -omega0 / g**2
+        got = _roots.pole_function_grid(weights[None, None], energies, grid, slope, offset)
+        ref = np.array([
+            slope * w + offset - _loop_sum(weights, energies, w).real for w in grid
+        ])
+        np.testing.assert_allclose(got[:, 0], ref, rtol=0, atol=1e-12)

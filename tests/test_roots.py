@@ -117,32 +117,38 @@ def test_gamma_grid_matches_loop():
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
-def test_contact_roots_bisection_is_root():
+def test_pole_function_roots_bisection_is_root():
     rng = np.random.default_rng(15)
     weights = np.abs(rng.normal(size=10)) + 0.05
     energies = np.sort(rng.uniform(-1.5, 1.5, 10))
+    omega0, g = 2.2, 0.4
+    slope, offset = 1.0 / g**2, -omega0 / g**2
+    roots = _roots.contact_roots(
+        weights[None, None], energies, slope, offset, [(1.6, 6.0, False, False)], xtol=1e-13
+    )
+    assert len(roots) == 1
+    # the returned root really is a root of the increasing pole function
+    w = roots[0]
+    val = slope * w + offset - sum(wk / (w - ek) for wk, ek in zip(weights, energies))
+    assert abs(val) < 1e-9
+
+
+def test_contact_roots_bisection_is_root():
     rng = np.random.default_rng(14)
-    weights_b = np.abs(rng.normal(size=20)) + 0.01
-    energies_b = np.sort(rng.uniform(-2.0, 2.0, 20))
-    cases = [
-        (weights, energies, 2.2, 0.4, (1.6, 6.0), 1),
-        (weights_b, energies_b, 2.5, 0.3, (2.1, 5.0), None),
-        (weights_b, energies_b, -3.0, 0.7, (2.1, 5.0), None),
-    ]
-    for wk, ek, omega0, g, (a, b), count in cases:
+    weights = np.abs(rng.normal(size=20)) + 0.01
+    energies = np.sort(rng.uniform(-2.0, 2.0, 20))
+    a, b = 2.1, 5.0
+    for omega0, g in [(2.5, 0.3), (-3.0, 0.7)]:
         slope, offset = 1.0 / g**2, -omega0 / g**2
 
         def f(w):
-            return slope * w + offset - _loop_sum(wk, ek, w)
+            return slope * w + offset - _loop_sum(weights, energies, w)
 
         roots = _roots.contact_roots(
-            wk[None, None], ek, slope, offset, [(a, b, False, False)], xtol=1e-13
+            weights[None, None], energies, slope, offset, [(a, b, False, False)], xtol=1e-13
         )
-        if count is None:
-            # f increases on (a, b): one root exactly when the ends differ in sign
-            count = int(f(a) < 0.0 < f(b))
-        assert len(roots) == count
-        # the returned root really is a root of the increasing pole function
+        # f increases on (a, b): one root exactly when the ends differ in sign
+        assert len(roots) == int(f(a) < 0.0 < f(b))
         for w in roots:
             assert abs(f(w)) < 1e-9
 
