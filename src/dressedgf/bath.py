@@ -360,8 +360,24 @@ def green_matrix(s: SpectralData, z: complex) -> np.ndarray:
     z = complex(z)
     # unit weights: every coinciding mode is a pole of the full matrix
     _coinciding_keep(s, z, np.ones(s.n_sites))
-    scaled = s.eigenvectors / (z - s.eigenvalues)[None, :]
-    return scaled @ np.conj(s.eigenvectors.T)
+    return _spectral_sum(s.eigenvectors, s.eigenvalues, z)
+
+
+def _spectral_sum(vecs: np.ndarray, levels: np.ndarray, z: complex) -> np.ndarray:
+    """``V (z - levels)^-1 V^H`` for orthonormal columns ``V`` with real ``levels``.
+
+    Vectors with no imaginary part, which every real Hamiltonian gets from
+    :func:`_dense_eigh`, take two real products, one for each part of
+    ``1/(z - levels)``: half the flops of the complex product.
+    """
+    if np.any(vecs.imag):
+        return (vecs / (z - levels)[None, :]) @ np.conj(vecs.T)
+    v = np.ascontiguousarray(vecs.real)
+    inv = 1.0 / (z - levels)
+    out = np.empty((v.shape[0], v.shape[0]), dtype=np.complex128)
+    out.real = (v * inv.real) @ v.T
+    out.imag = (v * inv.imag) @ v.T
+    return out
 
 
 def detect_bands(s: SpectralData, gap_factor: float = DEFAULT_GAP_FACTOR) -> BandStructure:

@@ -67,7 +67,7 @@ class RunConfig:
         if "bath" not in raw:
             raise ConfigError("config: missing 'bath' section")
         self.bath_spec = self._parse_bath(raw["bath"])
-        self.emitters = self._parse_emitters(raw.get("emitters", []))
+        self.emitters = self._parse_emitters(raw.get("emitters", []), self.bath_spec.n_sites)
         self.gap_factor = float(raw.get("gap_factor", 5.0))
         self.delta = raw.get("delta")
         if self.delta is not None:
@@ -129,10 +129,11 @@ class RunConfig:
         return load_bath_spec(json.dumps(section))
 
     @staticmethod
-    def _parse_emitters(section):
+    def _parse_emitters(section, n_sites):
         if not isinstance(section, list):
             raise ConfigError("config: 'emitters' must be a list")
         out = []
+        taken = set()
         for idx, entry in enumerate(section):
             where = f"config emitters[{idx}]"
             if not isinstance(entry, dict):
@@ -144,6 +145,11 @@ class RunConfig:
             site = entry["site"]
             if isinstance(site, bool) or not isinstance(site, int):
                 raise ConfigError(f"{where}: 'site' must be an integer")
+            if not 0 <= site < n_sites:
+                raise ConfigError(f"{where}: site {site} out of range 0..{n_sites - 1}")
+            if site in taken:
+                raise ConfigError(f"{where}: two emitters on site {site}")
+            taken.add(site)
             try:
                 out.append(EmitterSpec(
                     omega0=float(_require_number(entry, "omega0", where)),
@@ -199,6 +205,13 @@ def _single_emitter(cfg: RunConfig) -> EmitterSpec:
             f"this command needs exactly one emitter, config has {len(cfg.emitters)}"
         )
     return cfg.emitters[0]
+
+
+def _emitter_array(cfg: RunConfig) -> EmitterArraySpec:
+    try:
+        return EmitterArraySpec(tuple(cfg.emitters))
+    except ValueError as exc:
+        raise ConfigError(f"config emitters: {exc}") from exc
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
@@ -279,7 +292,7 @@ def cmd_effective(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("config: 'effective' needs at least one emitter")
     s = diagonalize_bath(cfg.bath_spec)
     bands = detect_bands(s, gap_factor=cfg.gap_factor)
-    arr = EmitterArraySpec(tuple(cfg.emitters))
+    arr = _emitter_array(cfg)
     if arr.m == 2:
         ham = effective_hamiltonian_two(s, arr, bands)
     else:
@@ -347,10 +360,11 @@ def cmd_effective(cfg: RunConfig, out: Path) -> int:
 def cmd_compare(cfg: RunConfig, out: Path) -> int:
     if not cfg.emitters:
         raise ConfigError("config: 'compare' needs at least one emitter")
+    arr = _emitter_array(cfg)
     rng = np.random.default_rng(cfg.seed)
     report = oracle.compare(
         cfg.bath_spec,
-        cfg.emitters,
+        arr,
         checks=cfg.checks,
         rng=rng,
         num_z=cfg.num_z,

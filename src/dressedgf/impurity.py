@@ -19,6 +19,7 @@ from . import _roots
 from .bath import (
     BandStructure,
     SpectralData,
+    _check_sites,
     bath_green_element,
     bath_green_squared_element,
     default_delta,
@@ -119,6 +120,7 @@ def _contact_scattering(s: SpectralData, site: int, k_index: int, delta: float, 
 
 def _contact_roots(s: SpectralData, site: int, slope, offset, intervals, n_grid, xtol):
     """Roots of ``slope*w + offset - <site|G_B(w)|site>`` on ``intervals``."""
+    _check_sites(s, site)
     weights = np.abs(s.eigenvectors[site, :]) ** 2
     keep = weights > 1e-24
     return _roots.contact_roots(

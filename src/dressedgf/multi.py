@@ -20,6 +20,7 @@ from . import _roots
 from .bath import (
     BandStructure,
     SpectralData,
+    _check_sites,
     bath_green_element,
     bath_green_squared_element,
     detect_bands,
@@ -281,6 +282,7 @@ def det_f_roots(
     reliable even when two roots almost coincide (they then sit on different
     branches).
     """
+    _check_sites(s, *arr.sites)
     if bands is None:
         bands = detect_bands(s)
     v = s.eigenvectors[list(arr.sites), :]

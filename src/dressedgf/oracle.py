@@ -3,7 +3,9 @@
 Everything here goes through the dense Hamiltonian in the single-excitation
 basis ``[e_1..e_M, x_0..x_{N-1}]`` and plain LAPACK calls.  None of the
 resolvent-formula evaluators are used to produce oracle numbers, so agreement
-between the two paths is evidence rather than tautology; :func:`compare` is
+between the two paths is evidence rather than tautology; the one piece both
+share is the dense product ``V (z - Lambda)^-1 V^H``, applied to the full
+eigensystem here and to the bath's on the formula side.  :func:`compare` is
 the orchestrator that runs both sides against each other.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _dense_eigh, _fix_phases
+from .bath import BathSpec, _dense_eigh, _fix_phases, _spectral_sum
 from .errors import PoleError
 
 
@@ -97,27 +99,34 @@ def exact_eigensystem(spec: BathSpec, emitters):
     return _eigensystem(build_full_hamiltonian(spec, emitters))
 
 
-def _solve_resolvent(h: np.ndarray, evals: np.ndarray, z: complex) -> np.ndarray:
-    """``(z - H)^-1`` by dense solve against the identity, given the spectrum of H.
+def _check_shift(evals: np.ndarray, z: complex) -> None:
+    """Refuse a shift ``z`` numerically on an eigenvalue of Hermitian H.
 
-    For Hermitian H the singular values of ``z - H`` are ``|z - lambda_k|``,
-    so its 2-norm condition number is max|z - lambda| / min|z - lambda|
-    exactly; shifts above 1e14 are refused as numerically on an eigenvalue.
+    The singular values of ``z - H`` are ``|z - lambda_k|``, so its 2-norm
+    condition number is max|z - lambda| / min|z - lambda| exactly; shifts
+    above 1e14 are refused.
     """
-    z = complex(z)
     dist = np.abs(z - evals)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = dist.max() / dist.min()
     if not np.isfinite(cond) or cond > 1e14:
         raise PoleError(f"z={z} is numerically at an eigenvalue (cond={cond:.3e})")
-    shifted = z * np.eye(h.shape[0], dtype=np.complex128) - h
-    return np.linalg.solve(shifted, np.eye(h.shape[0], dtype=np.complex128))
+
+
+def _spectral_resolvent(evals: np.ndarray, evecs: np.ndarray, z: complex) -> np.ndarray:
+    """``(z - H)^-1 = U (z - Lambda)^-1 U^H`` from an eigensystem of H."""
+    z = complex(z)
+    _check_shift(evals, z)
+    return _spectral_sum(evecs, evals, z)
 
 
 def direct_resolvent(spec: BathSpec, emitters, z: complex) -> np.ndarray:
     """``(z - H)^-1`` by dense linear solve; refuses nearly singular shifts."""
     h = build_full_hamiltonian(spec, emitters)
-    return _solve_resolvent(h, _dense_eigh(h, vectors=False), z)
+    z = complex(z)
+    _check_shift(_dense_eigh(h, vectors=False), z)
+    shifted = z * np.eye(h.shape[0], dtype=np.complex128) - h
+    return np.linalg.solve(shifted, np.eye(h.shape[0], dtype=np.complex128))
 
 
 DEFAULT_CHECKS = (
@@ -179,7 +188,7 @@ def compare(
             re = rng.uniform(s.eigenvalues[0] - 0.5 * width, s.eigenvalues[-1] + 0.5 * width)
             im = rng.uniform(0.05 * width, 0.5 * width) * rng.choice([-1.0, 1.0])
             z = complex(re, im)
-            diff = _multi.multi_green(s, arr, z) - _solve_resolvent(h, evals, z)
+            diff = _multi.multi_green(s, arr, z) - _spectral_resolvent(evals, evecs, z)
             err = max(err, float(np.max(np.abs(diff))))
         results.append(CheckResult("resolvent_identity", err, tol, err < tol,
                                    f"{num_z} random z"))

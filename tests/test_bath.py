@@ -25,7 +25,7 @@ from dressedgf import (
 )
 from dressedgf.bath import _fix_phases
 
-from conftest import random_bath_spec
+from conftest import random_bath_spec, random_z
 
 
 # ---------------------------------------------------------------- builders
@@ -239,6 +239,32 @@ def test_green_matrix_against_dense_inverse():
             np.eye(s.n_sites),
             atol=1e-10,
         )
+
+
+def test_green_matrix_complex_bath_is_the_complex_product():
+    rng = np.random.default_rng(26)
+    for _ in range(10):
+        s = diagonalize_bath(random_bath_spec(rng))
+        assert np.any(s.eigenvectors.imag)
+        for z in random_z(rng, s, 3):
+            z = complex(z)
+            ref = (s.eigenvectors / (z - s.eigenvalues)[None, :]) @ np.conj(s.eigenvectors.T)
+            assert np.array_equal(green_matrix(s, z), ref)
+
+
+@pytest.mark.parametrize("name", ["chain", "ssh-topological"])
+def test_green_matrix_real_bath_takes_two_real_products(name):
+    s = diagonalize_bath(REAL_BATHS[name])
+    v = s.eigenvectors.real
+    rng = np.random.default_rng(27)
+    for z in random_z(rng, s, 5):
+        z = complex(z)
+        inv = 1.0 / (z - s.eigenvalues)
+        g = green_matrix(s, z)
+        assert np.array_equal(g.real, (v * inv.real) @ v.T)
+        assert np.array_equal(g.imag, (v * inv.imag) @ v.T)
+        ref = (s.eigenvectors / (z - s.eigenvalues)[None, :]) @ np.conj(s.eigenvectors.T)
+        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_green_column_row_slices_of_matrix():

@@ -218,6 +218,34 @@ def test_compare_reports_all_checks_green(tmp_path):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def _chain20_emitters(*emitters):
+    return {
+        "bath": {"builder": "chain", "n_sites": 20, "omega_c": 0.0, "j": 1.0},
+        "emitters": [{"omega0": 2.5, "g": g, "site": site} for site, g in emitters],
+    }
+
+
+BAD_EMITTER_CONFIGS = [
+    ("bound-states", [(25, 0.3)], "site 25 out of range"),
+    ("effective", [(-1, 0.3), (3, 0.3)], "site -1 out of range"),
+    ("effective", [(3, 0.3), (25, 0.3)], "site 25 out of range"),
+    ("effective", [(3, 0.3), (3, 0.3)], "two emitters on site 3"),
+    ("effective", [(3, 0.3), (6, 0.2)], "share omega0 and g"),
+    ("compare", [(-1, 0.3)], "site -1 out of range"),
+    ("compare", [(25, 0.3), (3, 0.3)], "site 25 out of range"),
+    ("compare", [(3, 0.3), (3, 0.3)], "two emitters on site 3"),
+    ("compare", [(3, 0.3), (6, 0.2)], "share omega0 and g"),
+]
+
+
+@pytest.mark.parametrize("command,emitters,message", BAD_EMITTER_CONFIGS)
+def test_bad_emitter_config_is_a_config_error(tmp_path, capsys, command, emitters, message):
+    cfg = _write_config(tmp_path, "run.json", _chain20_emitters(*emitters))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_unknown_config_key_is_named(tmp_path, capsys):
     cfg = _write_config(tmp_path, "run.json", {
         "bath": {"builder": "chain", "n_sites": 8, "omega_c": 0.0, "j": 1.0},

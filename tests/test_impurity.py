@@ -263,3 +263,10 @@ def test_scattering_residual_matches_dense_product():
                     r[site] = 0.0
                 bound = 1e-14 * (1.0 + h_norm * np.linalg.norm(st.vector))
                 assert abs(st.residual - np.linalg.norm(r)) <= bound
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_bound_state_rejects_out_of_range_site(bad):
+    s = diagonalize_bath(build_uniform_chain(12, 0.0, 1.0))
+    with pytest.raises(ValueError, match="out of range"):
+        solve_impurity_bound_state(s, ImpuritySpec(site=bad, strength=3.0))

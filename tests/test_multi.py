@@ -271,6 +271,14 @@ def test_det_f_roots_count_matches_oracle():
             assert abs(r - w) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [-1, 30])
+def test_det_f_roots_rejects_out_of_range_sites(bad):
+    # a negative site must not wrap around to the far end of the chain
+    s = diagonalize_bath(build_uniform_chain(30, 0.0, 1.0))
+    with pytest.raises(ValueError, match="out of range"):
+        det_f_roots(s, _pair(2.5, 0.3, bad, 3))
+
+
 # ------------------------------------------------------------ pole doublet
 
 

@@ -19,6 +19,7 @@ from dressedgf import (
     direct_resolvent,
     exact_eigensystem,
 )
+from dressedgf.oracle import _spectral_resolvent
 
 from conftest import random_bath_spec, random_gapped_bath
 
@@ -77,9 +78,8 @@ def test_direct_resolvent_rejects_eigenvalue():
         direct_resolvent(_single_mode_bath(), (EmitterSpec(0.0, 1.0, 0),), 1.0)
 
 
-def test_direct_resolvent_guard_matches_svd():
-    # the spectral guard must refuse exactly the shifts the SVD condition
-    # number refuses, without leaking a warning when z sits on an eigenvalue
+def _guard_case():
+    """A complex two-emitter Hamiltonian and shifts on, next to and off its levels."""
     rng = np.random.default_rng(44)
     spec = random_bath_spec(rng, 8)
     emitters = (EmitterSpec(0.3, 0.5, 2), EmitterSpec(-0.4, 0.7, 6))
@@ -93,21 +93,59 @@ def test_direct_resolvent_guard_matches_svd():
         rng.uniform(evals[0] - 0.5 * width, evals[-1] + 0.5 * width, 10),
         rng.uniform(0.05, 0.5, 10) * width * rng.choice([-1.0, 1.0], 10))]
     zs += [complex(0.5 * (a + b)) for a, b in zip(evals, evals[1:])]
+    return spec, emitters, h, zs
+
+
+def _raises_pole_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except PoleError as exc:
+            assert "cond" in str(exc)
+            return True
+    return False
+
+
+def test_direct_resolvent_guard_matches_svd():
+    # the spectral guard must refuse exactly the shifts the SVD condition
+    # number refuses, without leaking a warning when z sits on an eigenvalue
+    spec, emitters, h, zs = _guard_case()
     raised = []
     for z in zs:
         cond = np.linalg.cond(z * np.eye(h.shape[0]) - h)
         expected = not np.isfinite(cond) or cond > 1e14
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                direct_resolvent(spec, emitters, z)
-                got = False
-            except PoleError as exc:
-                assert "cond" in str(exc)
-                got = True
+        got = _raises_pole_error(lambda: direct_resolvent(spec, emitters, z))
         assert got == expected, f"z={z}: cond={cond:.3e}"
         raised.append(got)
     assert any(raised) and not all(raised)
+
+
+def test_spectral_resolvent_guard_matches_direct_resolvent():
+    spec, emitters, _, zs = _guard_case()
+    evals, evecs = exact_eigensystem(spec, emitters)
+    for z in zs:
+        direct = _raises_pole_error(lambda: direct_resolvent(spec, emitters, z))
+        spectral = _raises_pole_error(lambda: _spectral_resolvent(evals, evecs, z))
+        assert spectral == direct, f"z={z}"
+
+
+@pytest.mark.parametrize("bath", ["chain", "complex"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_spectral_resolvent_matches_dense_inverse(bath, m):
+    rng = np.random.default_rng(45 + m)
+    spec = build_uniform_chain(12, 0.0, 1.0) if bath == "chain" else random_bath_spec(rng, 10)
+    emitters = (EmitterSpec(0.4, 0.5, 2), EmitterSpec(0.4, 0.5, 7))[:m]
+    h = build_full_hamiltonian(spec, emitters)
+    evals, evecs = exact_eigensystem(spec, emitters)
+    assert np.any(evecs.imag) == (bath == "complex")
+    width = max(evals[-1] - evals[0], 1.0)
+    zs = rng.uniform(evals[0] - 0.5 * width, evals[-1] + 0.5 * width, 10) + 1j * (
+        rng.uniform(0.05, 0.5, 10) * width * rng.choice([-1.0, 1.0], 10))
+    for z in zs:
+        inv = np.linalg.inv(z * np.eye(h.shape[0]) - h)
+        err = np.max(np.abs(_spectral_resolvent(evals, evecs, z) - inv))
+        assert err <= 1e-12 * (1.0 + np.linalg.norm(inv))
 
 
 def test_compare_builds_hamiltonian_once(monkeypatch):
@@ -131,6 +169,26 @@ def test_compare_builds_hamiltonian_once(monkeypatch):
         assert len(calls) == 1
         assert report.checks[-1].name == last_check
         assert report.all_passed, report.to_dict()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_compare_makes_no_full_size_solve(monkeypatch, m):
+    # the resolvent identity takes its reference from the eigensystem
+    # compare already holds, not from one dense solve per z
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    spec = build_uniform_chain(30, 0.0, 1.0)
+    emitters = (EmitterSpec(2.5, 0.3, 4), EmitterSpec(2.5, 0.3, 9))[:m]
+    report = compare(spec, emitters, checks=("resolvent_identity",),
+                     rng=np.random.default_rng(5), num_z=6)
+    assert report.all_passed, report.to_dict()
+    assert shapes and (30 + m, 30 + m) not in shapes
 
 
 def test_compare_single_emitter_all_pass():
