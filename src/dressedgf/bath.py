@@ -75,25 +75,36 @@ class BathSpec:
         return h
 
     @cached_property
-    def _edge_arrays(self):
-        # Every edge in both directions as (rows, cols, amplitudes): one
-        # gather-scatter over these applies the hopping part of H_B.
+    def _edge_rounds(self):
+        # Every edge in both directions, split into rounds in which no row
+        # repeats: round r holds the r-th directed edge into each row, in
+        # edge-list order, so one fancy-indexed add per round accumulates
+        # each row's terms in the order of the edge list.
         x = np.array([edge[0] for edge in self.hoppings], dtype=np.intp)
         xp = np.array([edge[1] for edge in self.hoppings], dtype=np.intp)
         amp = np.array([edge[2] for edge in self.hoppings], dtype=np.complex128)
-        return (
-            np.concatenate((x, xp)),
-            np.concatenate((xp, x)),
-            np.concatenate((amp, np.conj(amp))),
-            np.asarray(self.frequencies, dtype=np.float64),
+        rows, cols = np.concatenate((x, xp)), np.concatenate((xp, x))
+        amps = np.concatenate((amp, np.conj(amp)))
+        order = np.argsort(rows, kind="stable")
+        starts = np.searchsorted(rows[order], rows[order])
+        rank = np.empty_like(rows)
+        rank[order] = np.arange(rows.size) - starts
+        return tuple(
+            (rows[rank == r], cols[rank == r], amps[rank == r])
+            for r in range(int(rank.max(initial=-1)) + 1)
         )
 
-    def apply(self, vector) -> np.ndarray:
-        """``H_B @ vector`` straight from the edge list, in O(N + edges)."""
-        rows, cols, amps, freqs = self._edge_arrays
-        v = np.asarray(vector, dtype=np.complex128)
-        out = freqs * v
-        np.add.at(out, rows, amps * v[cols])
+    def apply(self, vectors) -> np.ndarray:
+        """``H_B @ vectors`` straight from the edge list, in O((N + edges) * columns).
+
+        ``vectors`` is one vector or an (N, c) block of columns; each column
+        comes out bit-identical to applying H_B to it alone.
+        """
+        v = np.asarray(vectors, dtype=np.complex128)
+        per_row = (-1,) + (1,) * (v.ndim - 1)
+        out = np.asarray(self.frequencies, dtype=np.float64).reshape(per_row) * v
+        for rows, cols, amps in self._edge_rounds:
+            out[rows] += amps.reshape(per_row) * v[cols]
         return out
 
 
@@ -260,13 +271,25 @@ def diagonalize_bath(spec: BathSpec) -> SpectralData:
 
 
 def _fix_phases(evecs: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry above 1e-12 in modulus is real positive.
+
+    A column with no such entry is multiplied by 1.  The phase
+    conj(lead)/|lead| is spelled out as numpy's scalar arithmetic computes
+    it (|lead| by ``hypot``, the division by a real as a product with its
+    reciprocal, signed zeros included), so the result is bit-identical to
+    rotating column by column.
+    """
     out = np.array(evecs, dtype=np.complex128)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = col[nz[0]] if nz.size else 1.0
-        if lead != 0:
-            out[:, k] = col * (np.conj(lead) / abs(lead))
+    big = np.abs(out) > 1e-12
+    found = big.any(axis=0)
+    lead = np.conj(out[np.argmax(big, axis=0), np.arange(out.shape[1])])
+    scale = np.ones(out.shape[1])
+    np.divide(1.0, np.hypot(lead.real, lead.imag), out=scale, where=found)
+    phase = np.empty(out.shape[1], dtype=np.complex128)
+    phase.real = (lead.real + lead.imag * 0.0) * scale
+    phase.imag = (lead.imag - lead.real * 0.0) * scale
+    phase[~found] = 1.0
+    out *= phase
     return out
 
 
@@ -302,6 +325,16 @@ def _coinciding_keep(s: SpectralData, z: complex, weights: np.ndarray):
             f" carrying weight {abs(weights[k]):.3e}"
         )
     return ~near
+
+
+def _coinciding_poles(s: SpectralData, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Flags the real ``points`` (1-D) at which a sum with ``weights`` has a genuine pole.
+
+    The vectorized test of :func:`_coinciding_keep`, without an exception:
+    ``True`` where that rule would raise at the point.
+    """
+    near = np.abs(points[:, None] - s.eigenvalues) < POLE_ATOL
+    return (near & (np.abs(weights) >= WEIGHT_TOL)).any(axis=-1)
 
 
 def _kept_modes(s: SpectralData, z: complex, weights: np.ndarray, *per_mode):

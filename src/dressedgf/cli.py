@@ -25,7 +25,7 @@ from .bath import (
     diagonalize_bath,
     load_bath_spec,
 )
-from .dressed import EmitterSpec, dressed_scattering_state, solve_dressed_bound_states
+from .dressed import EmitterSpec, scattering_scalars, solve_dressed_bound_states
 from .errors import ConfigError, DressedGFError
 from .multi import EmitterArraySpec, effective_hamiltonian_many, effective_hamiltonian_two
 from .oracle import build_full_hamiltonian
@@ -51,6 +51,23 @@ def _require_number(obj, key, where):
     return val
 
 
+def _positive(value, key, where="config"):
+    """``value``, which must be a number above 0."""
+    num = _require_number({key: value}, key, where)
+    if not num > 0:
+        raise ConfigError(f"{where}: '{key}' must be > 0, got {num!r}")
+    return num
+
+
+def _integer(raw, key, default, minimum=None):
+    val = raw.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"config: '{key}' must be an integer")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"config: '{key}' must be >= {minimum}, got {val}")
+    return val
+
+
 def _reject_unknown(obj, allowed, where):
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -68,13 +85,13 @@ class RunConfig:
             raise ConfigError("config: missing 'bath' section")
         self.bath_spec = self._parse_bath(raw["bath"])
         self.emitters = self._parse_emitters(raw.get("emitters", []), self.bath_spec.n_sites)
-        self.gap_factor = float(raw.get("gap_factor", 5.0))
+        self.gap_factor = float(_positive(raw.get("gap_factor", 5.0), "gap_factor"))
         self.delta = raw.get("delta")
         if self.delta is not None:
-            self.delta = float(self.delta)
-        self.tol = float(raw.get("tol", 1e-9))
-        self.seed = int(raw.get("seed", DEFAULT_SEED))
-        self.n_grid = int(raw.get("n_grid", 512))
+            self.delta = float(_positive(self.delta, "delta"))
+        self.tol = float(_positive(raw.get("tol", 1e-9), "tol"))
+        self.seed = _integer(raw, "seed", DEFAULT_SEED, minimum=0)
+        self.n_grid = _integer(raw, "n_grid", 512, minimum=2)
         self.k_indices = raw.get("k_indices")
         if self.k_indices is not None:
             if not isinstance(self.k_indices, list) or not all(
@@ -86,16 +103,14 @@ class RunConfig:
         if self.g_sweep is not None:
             if not isinstance(self.g_sweep, list) or not self.g_sweep:
                 raise ConfigError("config: 'g_sweep' must be a nonempty list of numbers")
-            self.g_sweep = [
-                _require_number({"g": v}, "g", "config g_sweep") for v in self.g_sweep
-            ]
+            self.g_sweep = [_positive(v, "g", "config g_sweep") for v in self.g_sweep]
         self.checks = raw.get("checks")
         if self.checks is not None:
             if not isinstance(self.checks, list) or not all(
                 isinstance(c, str) for c in self.checks
             ):
                 raise ConfigError("config: 'checks' must be a list of names")
-        self.num_z = int(raw.get("num_z", 20))
+        self.num_z = _integer(raw, "num_z", 20, minimum=1)
 
     @staticmethod
     def _parse_bath(section):
@@ -261,14 +276,12 @@ def cmd_scattering(cfg: RunConfig, out: Path) -> int:
     s = diagonalize_bath(cfg.bath_spec)
     delta = cfg.delta if cfg.delta is not None else default_delta(s)
     indices = cfg.k_indices if cfg.k_indices is not None else range(s.n_sites)
-    rows = []
     for k in indices:
         if not 0 <= k < s.n_sites:
             raise ConfigError(f"config: k index {k} out of range 0..{s.n_sites - 1}")
-        state = dressed_scattering_state(s, emitter, k, delta=delta)
-        amp = state.atomic_amplitude
-        rows.append((k, state.energy, amp.real, amp.imag,
-                     not state.regular, state.residual))
+    energy, amp, regular, residual = scattering_scalars(s, emitter, indices, delta)
+    rows = zip(indices, energy.tolist(), amp.real.tolist(), amp.imag.tolist(),
+               (~regular).tolist(), residual.tolist())
     _write_csv(
         out / "scattering.csv",
         ["k", "energy", "atomic_amplitude_re", "atomic_amplitude_im", "untouched",
@@ -409,9 +422,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.delta is not None:
-            cfg.delta = args.delta
+            cfg.delta = _positive(args.delta, "delta", "--delta")
         if args.tol is not None:
-            cfg.tol = args.tol
+            cfg.tol = _positive(args.tol, "tol", "--tol")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

@@ -29,7 +29,7 @@ from .bath import (
     green_column,
 )
 from .errors import PoleError
-from .impurity import _contact_green, _contact_roots, _contact_scattering
+from .impurity import _contact_f, _contact_green, _contact_roots, _contact_scattering
 
 POLE_TOL = 1e-13
 #: |F| below this at a real mode energy sends the mode through untouched.
@@ -49,6 +49,12 @@ class EmitterSpec:
     def __post_init__(self):
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
+
+    @property
+    def contact(self) -> tuple:
+        """``(slope, offset)`` of F(z) = slope*z + offset - gamma: 1/g**2 and -omega0/g**2."""
+        g2 = self.g ** 2
+        return 1.0 / g2, -self.omega0 / g2
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +130,13 @@ def self_energy(s: SpectralData, e: EmitterSpec, z: complex) -> complex:
 
 
 def pole_function_F(s: SpectralData, e: EmitterSpec, z: complex) -> complex:
-    """F(z) = (z - omega0)/g**2 - <site|G_B(z)|site>; zeros are dressed poles."""
-    return (complex(z) - e.omega0) / e.g ** 2 - bath_green_element(s, z, e.site, e.site)
+    """F(z) = (z - omega0)/g**2 - <site|G_B(z)|site>; zeros are dressed poles.
+
+    Evaluated in the contact form ``z/g**2 - omega0/g**2 - gamma`` that the
+    root finder and the scattering core use.
+    """
+    gamma = bath_green_element(s, z, e.site, e.site)
+    return complex(_contact_f(*e.contact, complex(z), gamma))
 
 
 def dressed_state_function(s: SpectralData, e: EmitterSpec, z: complex) -> DressedStateFunction:
@@ -229,8 +240,7 @@ def solve_dressed_bound_states(
         max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
         split=e.omega0,
     )
-    g2 = e.g ** 2
-    roots = _contact_roots(s, e.site, 1.0 / g2, -e.omega0 / g2, intervals, n_grid, xtol)
+    roots = _contact_roots(s, e.site, *e.contact, intervals, n_grid, xtol)
     vds = _vds_candidate(s, e)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
         roots = sorted(roots + [vds])
@@ -253,28 +263,61 @@ def dressed_scattering_state(
     """
     if delta is None:
         delta = default_delta(s)
-    omega, regular, coupling, photonic = _contact_scattering(
-        s, e.site, k_index, delta, lambda z: pole_function_F(s, e, z), F_NODE_TOL
-    )
-    vector = np.concatenate(([coupling * (1.0 / e.g)], photonic))
-    residual = _scattering_residual(s, e, omega, vector)
+    (_, omega, regular, states, residuals), = _scattering_chunks(s, e, [k_index], delta)
     return ScatteringState(
-        k_index=k_index, energy=omega, vector=vector, regular=regular,
-        residual=residual, delta=float(delta),
+        k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),
+        residual=float(residuals[0]), delta=float(delta),
     )
 
 
-def _scattering_residual(s, e, omega, vector) -> float:
-    """``||H v - omega v||`` over ``[e, x_0..x_{N-1}]``, with H applied from the spec.
+def scattering_scalars(s: SpectralData, e: EmitterSpec, k_indices, delta: float | None = None):
+    """Energy, atomic amplitude, regular flag and residual of many scattering states.
+
+    Returns four arrays over ``k_indices``.  The states are those of
+    :func:`dressed_scattering_state`, built chunk by chunk and dropped once
+    their scalars are taken, so memory stays O(N * chunk) for any number of
+    modes; results agree with the single-mode function to rounding.
+    """
+    if delta is None:
+        delta = default_delta(s)
+    n = len(k_indices)
+    energy, residual = np.empty(n), np.empty(n)
+    amplitude, regular = np.empty(n, dtype=np.complex128), np.empty(n, dtype=bool)
+    start = 0
+    for ks, omega, reg, states, res in _scattering_chunks(s, e, k_indices, delta):
+        part = slice(start, start + ks.size)
+        energy[part], amplitude[part], regular[part], residual[part] = omega, states[0], reg, res
+        start = part.stop
+    return energy, amplitude, regular, residual
+
+
+def _scattering_chunks(s, e, k_indices, delta):
+    """``(ks, omega, regular, states, residuals)`` per chunk of the contact core.
+
+    ``states[:, i]`` is the scattering state on mode ``ks[i]`` over ``[e,
+    x_0..x_{N-1}]``.
+    """
+    for ks, omega, regular, coupling, photonic in _contact_scattering(
+        s, e.site, k_indices, delta, *e.contact, F_NODE_TOL
+    ):
+        states = np.empty((s.n_sites + 1, ks.size), dtype=np.complex128)
+        states[0] = coupling * (1.0 / e.g)
+        states[1:] = photonic
+        yield ks, omega, regular, states, _scattering_residuals(s, e, omega, states)
+
+
+def _scattering_residuals(s, e, omega, states) -> np.ndarray:
+    """``||H v - omega v||`` per column over ``[e, x_0..x_{N-1}]``, H applied from the spec.
 
     The bath part comes from the edge list, the emitter row and column in
     closed form; nothing here uses the eigendecomposition being checked.
     """
-    atom, photonic = vector[0], vector[1:]
-    r = s.source.apply(photonic) - omega * photonic
-    r[e.site] += e.g * atom
-    r_atom = (e.omega0 - omega) * atom + e.g * photonic[e.site]
-    return float(np.linalg.norm(np.concatenate(([r_atom], r))))
+    atom, photonic = states[0], states[1:]
+    r = np.empty_like(states)
+    r[1:] = s.source.apply(photonic) - omega * photonic
+    r[1 + e.site] += e.g * atom
+    r[0] = (e.omega0 - omega) * atom + e.g * photonic[e.site]
+    return np.linalg.norm(r, axis=0)
 
 
 def classify_vds(

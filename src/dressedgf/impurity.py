@@ -20,6 +20,8 @@ from .bath import (
     BandStructure,
     SpectralData,
     _check_sites,
+    _coinciding_poles,
+    _element_weights,
     bath_green_element,
     bath_green_squared_element,
     default_delta,
@@ -35,6 +37,8 @@ VACANCY = math.inf
 
 POLE_TOL = 1e-13
 NODE_TOL = 1e-10
+#: Modes per batch of the scattering core: its temporaries stay O(N * chunk).
+SCATTER_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,17 @@ class ImpuritySpec:
     @property
     def is_vacancy(self) -> bool:
         return math.isinf(self.strength)
+
+    @property
+    def contact(self) -> tuple:
+        """``(slope, offset)`` of the pole function ``slope*z + offset - gamma``.
+
+        Offset 1/strength, 0 for the vacancy, and infinite without an impurity,
+        so that every mode stays regular with zero coupling.
+        """
+        if self.is_vacancy:
+            return 0.0, 0.0
+        return 0.0, (math.inf if self.strength == 0.0 else 1.0 / self.strength)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,29 +108,63 @@ def _contact_green(s: SpectralData, site: int, z: complex, f: complex):
     return green_matrix(s, z) + np.outer(psi, row) / f, psi, row
 
 
-def _contact_scattering(s: SpectralData, site: int, k_index: int, delta: float, f, node_tol):
-    """Scattering branch of a contact at ``site`` with pole function ``f(z)``.
+def _contact_f(slope, offset, z, gamma):
+    """Contact pole function ``slope*z + offset - gamma`` at a scalar or an array ``z``.
 
-    ``f`` at the real energy omega of bath mode ``k_index`` decides: below
-    ``node_tol`` in modulus the mode cannot couple and passes through
-    untouched; a genuine pole of f there, or any larger value, takes the
-    regular branch ``mode + coupling * G_B(z)|site>`` with ``coupling =
-    mode[site] / f(z)`` at ``z = omega + 1j*delta``.  Returns ``(omega,
-    regular, coupling, vector)``; the coupling of an untouched mode is 0.
+    Real and imaginary parts are formed apart, so a batch of points gives
+    the bits each point gives alone.
     """
-    if not (0 <= k_index < s.n_sites):
-        raise ValueError(f"k_index {k_index} out of range")
-    omega = float(s.eigenvalues[k_index])
-    mode = np.array(s.eigenvectors[:, k_index])
-    try:
-        f_real = f(complex(omega))
-    except PoleError:
-        f_real = None  # genuine pole of f at omega: the regular branch applies
-    if f_real is not None and abs(f_real) < node_tol:
-        return omega, False, 0.0, mode
-    z = omega + 1j * delta
-    coupling = mode[site] / f(z)
-    return omega, True, coupling, mode + coupling * green_column(s, z, site)
+    re = slope * np.real(z) + offset - np.real(gamma)
+    return re + 1j * (slope * np.imag(z) - np.imag(gamma))
+
+
+def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slope, offset,
+                        node_tol):
+    """Scattering branch of a contact at ``site`` on the bath modes ``k_indices``.
+
+    The contact has the pole function ``f(z) = slope*z + offset -
+    <site|G_B(z)|site>`` (see :func:`_contact_f`).  ``f`` at the real energy
+    omega of each mode decides: below ``node_tol`` in modulus the mode cannot
+    couple and passes through untouched; a genuine pole of f there (a
+    coinciding mode with weight at the site), or any larger value, takes the
+    regular branch ``mode + coupling * G_B(z)|site>`` with ``coupling =
+    mode[site] / f(z)`` at ``z = omega + 1j*delta``.
+
+    Yields ``(ks, omega, regular, coupling, vectors)`` per chunk of at most
+    ``SCATTER_CHUNK`` modes, with ``vectors[:, i]`` the state on mode
+    ``ks[i]``; the coupling of an untouched mode is 0.  Within a chunk f(z)
+    is one row sum per mode and the columns ``G_B(z)|site>`` one product
+    ``V C``; a chunk of one mode gives the bits of :func:`green_column`.
+    """
+    ks = np.asarray(k_indices, dtype=np.intp).reshape(-1)
+    out_of_range = (ks < 0) | (ks >= s.n_sites)
+    if out_of_range.any():
+        raise ValueError(f"k_index {ks[out_of_range][0]} out of range")
+    _check_sites(s, site)
+    if delta == 0.0:
+        raise ValueError("delta must be nonzero: the regular branch is taken off the real axis")
+    vecs, energies = s.eigenvectors, s.eigenvalues
+    weights = _element_weights(s, site, site)
+    coeff = np.conj(vecs[site, :])
+    for start in range(0, ks.size, SCATTER_CHUNK):
+        kc = ks[start:start + SCATTER_CHUNK]
+        omega = energies[kc]
+        regular = _coinciding_poles(s, omega, weights)
+        # the rare mode with no coinciding pole (a node at the site) needs f
+        # at its real energy, over the modes the coinciding-mode rule keeps
+        for i in np.flatnonzero(~regular):
+            w = float(omega[i])
+            f_real = _contact_f(slope, offset, w, bath_green_element(s, w, site, site))
+            regular[i] = not abs(f_real) < node_tol
+        z = omega + 1j * delta
+        denom = np.subtract.outer(z, energies)
+        f = _contact_f(slope, offset, z, np.sum(weights / denom, axis=1))
+        coupling = np.zeros(kc.size, dtype=np.complex128)
+        np.divide(vecs[site, kc], f, out=coupling, where=regular)
+        # coupling on the left: numpy's complex product is not bit-symmetric
+        states = vecs[:, kc] + coupling * (vecs @ np.ascontiguousarray((coeff / denom).T))
+        states[:, ~regular] = vecs[:, kc[~regular]]
+        yield kc, omega, regular, coupling, states
 
 
 def _contact_roots(s: SpectralData, site: int, slope, offset, intervals, n_grid, xtol):
@@ -180,7 +229,7 @@ def solve_impurity_bound_state(
         bands = detect_bands(s)
     if not spec.is_vacancy and spec.strength == 0.0:
         return []
-    offset = 0.0 if spec.is_vacancy else 1.0 / spec.strength
+    slope, offset = spec.contact
     # the tail root sits below the bands when attractive, above when repulsive
     v = spec.strength
     intervals = _roots.gap_intervals(
@@ -189,7 +238,7 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
     states = []
-    for w in _contact_roots(s, spec.site, 0.0, offset, intervals, n_grid, xtol):
+    for w in _contact_roots(s, spec.site, slope, offset, intervals, n_grid, xtol):
         g2 = bath_green_squared_element(s, w, spec.site, spec.site).real
         if g2 <= 0.0:
             continue
@@ -220,29 +269,22 @@ def impurity_scattering_state(
     """
     if delta is None:
         delta = default_delta(s)
-
-    def f(z):
-        # 1/strength - gamma: -gamma for the vacancy, and without an impurity
-        # f is infinite, so every mode stays regular and untouched
-        if spec.strength == 0.0:
-            return math.inf
-        gamma = bath_green_element(s, z, spec.site, spec.site)
-        return -gamma if spec.is_vacancy else 1.0 / spec.strength - gamma
-
-    omega, regular, _, vector = _contact_scattering(s, spec.site, k_index, delta, f, NODE_TOL)
-    residual = _scattering_residual(s, spec, omega, vector)
+    (_, omega, regular, _, states), = _contact_scattering(
+        s, spec.site, [k_index], delta, *spec.contact, NODE_TOL
+    )
     return ImpurityScatteringState(
-        k_index=k_index, energy=omega, vector=vector, regular=regular, residual=residual
+        k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),
+        residual=float(_scattering_residuals(s, spec, omega, states)[0]),
     )
 
 
-def _scattering_residual(s, spec, omega, vector):
-    """``||H v - omega v||`` with the bath applied from the spec's edge list."""
-    r = s.source.apply(vector) - omega * vector
+def _scattering_residuals(s, spec, omega, states):
+    """``||H v - omega v||`` per column, with the bath applied from the spec's edge list."""
+    r = s.source.apply(states) - omega * states
     if spec.is_vacancy:
         # The vacancy state lives on the deleted lattice: measure the residual
         # away from the removed site.
         r[spec.site] = 0.0
     else:
-        r[spec.site] += spec.strength * vector[spec.site]
-    return float(np.linalg.norm(r))
+        r[spec.site] += spec.strength * states[spec.site]
+    return np.linalg.norm(r, axis=0)

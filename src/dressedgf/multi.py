@@ -26,7 +26,6 @@ from .bath import (
     detect_bands,
     green_column,
     green_matrix,
-    green_row,
 )
 from .errors import PoleError, RegimeError
 
@@ -198,32 +197,33 @@ def _psi_kets(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
     return kets
 
 
-def _psi_bras(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
-    m, n = arr.m, s.n_sites
-    bras = np.zeros((m, m + n), dtype=np.complex128)
-    for j, x in enumerate(arr.sites):
-        bras[j, j] = 1.0 / arr.g
-        bras[j, m:] = green_row(s, z, x)
-    return bras
-
-
-def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex, gam=None):
+def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex, gam=None,
+                  keep_base: bool = False):
     """Rank-M resolvent ``G_B + kets F(z)^-1 bras`` and the pieces it is built from.
 
-    Returns ``(green, base, kets, bras)``, with ``base`` the bare ``G_B(z)``
-    padded to the coupled space.  A caller that already holds the Gamma_S
-    block at ``z`` passes it as ``gam``.
+    One (N+M)^2 buffer takes G_B(z) in its photonic block; the kets
+    ``(1/g)|e_i> + G_B|x_i>`` and bras ``(1/g)<e_j| + <x_j|G_B`` are read
+    off that block's columns and rows, then the rank-M term is added in
+    place.  Returns ``(green, kets, bras, base)``; ``base`` is a copy of the
+    padded G_B(z) if ``keep_base``, else None.  A caller that already holds
+    the Gamma_S block at ``z`` passes it as ``gam``.
     """
     fm = f_matrix(s, arr, z).matrix if gam is None else _f_from_block(arr, z, gam).matrix
     cond = np.linalg.cond(fm)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise PoleError(f"F(z) numerically singular at z={z} (cond={cond:.3e})")
     m, n = arr.m, s.n_sites
-    base = np.zeros((m + n, m + n), dtype=np.complex128)
-    base[m:, m:] = green_matrix(s, z)
-    kets = _psi_kets(s, arr, z)
-    bras = _psi_bras(s, arr, z)
-    return base + kets @ np.linalg.solve(fm, bras), base, kets, bras
+    green = np.zeros((m + n, m + n), dtype=np.complex128)
+    green[m:, m:] = green_matrix(s, z)
+    base = green.copy() if keep_base else None
+    contacts = [m + x for x in arr.sites]
+    kets = np.zeros((m + n, m), dtype=np.complex128)
+    kets[m:] = green[m:, contacts]
+    bras = np.zeros((m, m + n), dtype=np.complex128)
+    bras[:, m:] = green[contacts, m:]
+    kets[range(m), range(m)] = bras[range(m), range(m)] = 1.0 / arr.g
+    green += kets @ np.linalg.solve(fm, bras)
+    return green, kets, bras, base
 
 
 def multi_green(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
@@ -252,7 +252,7 @@ def t_matrix_series_green(
     t = arr.g ** 2 * gamma_e * gam
     rho = float(np.max(np.abs(np.linalg.eigvals(t))))
 
-    closed, base, kets, bras = _rank_m_green(s, arr, z, gam)
+    closed, kets, bras, base = _rank_m_green(s, arr, z, gam, keep_base=True)
     h = np.eye(arr.m, dtype=np.complex128)
     term = np.eye(arr.m, dtype=np.complex128)
     residuals = []

@@ -146,6 +146,68 @@ def test_apply_matches_dense_matrix():
         assert np.linalg.norm(spec.apply(v) - h @ v) <= bound
 
 
+def _apply_by_edges(spec, v):
+    # one edge at a time, in edge-list order: the accumulation order that
+    # apply must keep
+    out = np.asarray(spec.frequencies, dtype=np.float64) * v
+    rows = [x for x, _, _ in spec.hoppings] + [xp for _, xp, _ in spec.hoppings]
+    cols = [xp for _, xp, _ in spec.hoppings] + [x for x, _, _ in spec.hoppings]
+    amps = np.array([a for _, _, a in spec.hoppings]
+                    + [np.conj(a) for _, _, a in spec.hoppings], dtype=np.complex128)
+    np.add.at(out, np.array(rows, dtype=np.intp), amps * v[np.array(cols, dtype=np.intp)])
+    return out
+
+
+def test_apply_to_a_block_is_apply_per_column():
+    rng = np.random.default_rng(24)
+    specs = [random_bath_spec(rng, 30) for _ in range(4)]
+    specs += [build_ssh_chain(10, 0.0, 0.5, 1.0),
+              BathSpec(n_sites=1, frequencies=(0.7,), hoppings=())]
+    for spec in specs:
+        block = rng.normal(size=(spec.n_sites, 7)) + 1j * rng.normal(size=(spec.n_sites, 7))
+        out = spec.apply(block)
+        assert out.shape == block.shape
+        for j in range(block.shape[1]):
+            assert np.array_equal(out[:, j], spec.apply(block[:, j]))
+            assert np.array_equal(out[:, j], _apply_by_edges(spec, block[:, j]))
+
+
+def _fix_phases_by_column(evecs):
+    out = np.array(evecs, dtype=np.complex128)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        lead = col[nz[0]] if nz.size else 1.0
+        if lead != 0:
+            out[:, k] = col * (np.conj(lead) / abs(lead))
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+def test_fix_phases_matches_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(25)
+    mats = [build_uniform_chain(60, 0.0, 1.0).to_matrix(),
+            build_ssh_chain(30, 0.0, 0.5, 1.0).to_matrix()]
+    mats += [random_bath_spec(rng, 50).to_matrix() for _ in range(4)]
+    for h in mats:
+        evecs = np.linalg.eigh(h)[1]
+        assert _same_bits(_fix_phases(evecs), _fix_phases_by_column(evecs))
+        real = np.linalg.eigh(h.real)[1]  # the real-symmetric path's vectors
+        assert _same_bits(_fix_phases(real), _fix_phases_by_column(real))
+    # columns with no entry above 1e-12, signed zeros included, and a lead
+    # just above the threshold
+    tiny = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    tiny[:, 1] = -0.0 - 0.0j
+    tiny[:, 2] = [-0.0, 1e-13, -1e-14j, complex(-0.0, -0.0), 0.0, -3e-13]
+    # |lead| from hypot, as abs() of a numpy scalar, is one ulp off np.abs here
+    tiny[:, 3] = [0.0, complex(-1.1368181010671572e-12, -9.41159756902135e-13), 1.0, 0, 0, 0]
+    assert _same_bits(_fix_phases(tiny), _fix_phases_by_column(tiny))
+
+
 def test_phase_convention_leading_component_real_positive():
     rng = np.random.default_rng(22)
     for _ in range(10):

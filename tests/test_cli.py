@@ -246,6 +246,40 @@ def test_bad_emitter_config_is_a_config_error(tmp_path, capsys, command, emitter
     assert err.startswith("config error:") and message in err
 
 
+BAD_SCALAR_CONFIGS = [
+    ("bound-states", {"n_grid": "abc"}, "'n_grid' must be an integer"),
+    ("bound-states", {"n_grid": 1}, "'n_grid' must be >= 2"),
+    ("compare", {"tol": "x"}, "'tol' must be a number"),
+    ("compare", {"tol": 0.0}, "'tol' must be > 0"),
+    ("scattering", {"delta": "a"}, "'delta' must be a number"),
+    ("scattering", {"delta": -1e-8}, "'delta' must be > 0"),
+    ("bound-states", {"gap_factor": "x"}, "'gap_factor' must be a number"),
+    ("bound-states", {"gap_factor": -1}, "'gap_factor' must be > 0"),
+    ("effective", {"g_sweep": [0.1, -0.2]}, "config g_sweep: 'g' must be > 0"),
+    ("compare", {"num_z": 0}, "'num_z' must be >= 1"),
+    ("compare", {"seed": 1.5}, "'seed' must be an integer"),
+    ("compare", {"seed": -3}, "'seed' must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("command,extra,message", BAD_SCALAR_CONFIGS,
+                         ids=[json.dumps(extra) for _, extra, _ in BAD_SCALAR_CONFIGS])
+def test_bad_scalar_config_is_a_config_error(tmp_path, capsys, command, extra, message):
+    cfg = _write_config(tmp_path, "run.json", {**_chain20_emitters((3, 0.3)), **extra})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()  # rejected before any output is written
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--tol"])
+def test_nonpositive_flag_is_a_config_error(tmp_path, capsys, flag):
+    cfg = _write_config(tmp_path, "run.json", _chain20_emitters((3, 0.3)))
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path), flag, "0"]) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_named(tmp_path, capsys):
     cfg = _write_config(tmp_path, "run.json", {
         "bath": {"builder": "chain", "n_sites": 8, "omega_c": 0.0, "j": 1.0},

@@ -32,6 +32,7 @@ from dressedgf import (
     solve_two_atom_poles,
     t_matrix_series_green,
 )
+import dressedgf
 from dressedgf import multi
 
 from conftest import random_gapped_bath, random_z
@@ -184,6 +185,58 @@ def test_multi_green_disconnected_baths_add_up():
         bra[2:] = green_row(s, z, site)
         manual += np.outer(ket, bra) / fd.matrix[i, i]
     np.testing.assert_allclose(got, manual, atol=1e-12)
+
+
+def test_rank_m_green_reads_kets_and_bras_off_one_green_matrix(monkeypatch):
+    # the kets and bras are the columns and rows of the G_B(z) block that
+    # multi_green already holds: one green_matrix and no mode sums per z
+    rng = np.random.default_rng(64)
+    _, s, _ = random_gapped_bath(rng, 5, 4)
+    calls = {"green_matrix": 0, "green_column": 0, "green_row": 0}
+    for name in calls:
+        original = getattr(multi, name, None) or getattr(dressedgf.bath, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(multi, name, counted, raising=False)
+    for arr in (_pair(0.1, 0.5, 1, 6),
+                EmitterArraySpec(tuple(EmitterSpec(0.1, 0.5, x) for x in (0, 3, 8)))):
+        z = random_z(rng, s)
+        got = multi_green(s, arr, z)
+        m = arr.m
+        manual = np.zeros_like(got)
+        manual[m:, m:] = green_matrix(s, z)
+        kets = np.zeros((m + s.n_sites, m), dtype=np.complex128)
+        bras = np.zeros((m, m + s.n_sites), dtype=np.complex128)
+        for i, x in enumerate(arr.sites):
+            kets[i, i] = bras[i, i] = 1.0 / arr.g
+            kets[m:, i] = green_column(s, z, x)
+            bras[i, m:] = green_row(s, z, x)
+        manual += kets @ np.linalg.solve(f_matrix(s, arr, z).matrix, bras)
+        np.testing.assert_allclose(got, manual, atol=1e-12)
+    assert calls == {"green_matrix": 2, "green_column": 0, "green_row": 0}
+
+
+def test_t_matrix_series_keeps_the_bare_base():
+    # order 0 of the series is G_B padded plus the bare emitter term
+    rng = np.random.default_rng(65)
+    _, s, _ = random_gapped_bath(rng, 4, 4)
+    arr = _pair(0.1, 0.5, 1, 5)
+    z = 0.1 + 2.5j
+    closed = multi_green(s, arr, z)
+    _, report = t_matrix_series_green(s, arr, z, k_max=0)
+    zeroth = np.zeros_like(closed)
+    zeroth[2:, 2:] = green_matrix(s, z)
+    kets = np.zeros((10, 2), dtype=np.complex128)
+    bras = np.zeros((2, 10), dtype=np.complex128)
+    for i, x in enumerate(arr.sites):
+        kets[i, i] = bras[i, i] = 1.0 / arr.g
+        kets[2:, i] = green_column(s, z, x)
+        bras[i, 2:] = green_row(s, z, x)
+    zeroth += arr.g ** 2 / (z - arr.omega0) * (kets @ bras)
+    assert abs(report.residuals[0] - np.max(np.abs(zeroth - closed))) <= 1e-12
 
 
 # ----------------------------------------------------------- Born series
