@@ -189,6 +189,12 @@ def build_ssh_chain(n_cells: int, omega_c: float, j1: float, j2: float) -> BathS
     return BathSpec(n_sites=n_sites, frequencies=freqs, hoppings=tuple(hops))
 
 
+def _finite_real(value) -> bool:
+    """A number that is not a bool, a NaN or an infinity (json reads the last two)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
 def load_bath_spec(text: str) -> BathSpec:
     """Parse a bath document (JSON map) into a :class:`BathSpec`.
 
@@ -217,14 +223,12 @@ def load_bath_spec(text: str) -> BathSpec:
         raise ConfigError(f"n_sites must be an integer, got {n_sites!r}")
 
     raw_freq = doc["frequencies"]
-    if isinstance(raw_freq, (int, float)) and not isinstance(raw_freq, bool):
+    if _finite_real(raw_freq):
         freqs = (float(raw_freq),) * max(n_sites, 0)
-    elif isinstance(raw_freq, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_freq
-    ):
+    elif isinstance(raw_freq, list) and all(map(_finite_real, raw_freq)):
         freqs = tuple(float(v) for v in raw_freq)
     else:
-        raise ConfigError("frequencies must be a real number or a list of reals")
+        raise ConfigError("frequencies must be a finite real number or a list of finite reals")
 
     raw_hops = doc["hoppings"]
     if not isinstance(raw_hops, list):
@@ -234,12 +238,13 @@ def load_bath_spec(text: str) -> BathSpec:
         ok = (
             isinstance(entry, list)
             and len(entry) == 4
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+            and all(map(_finite_real, entry))
             and isinstance(entry[0], int)
             and isinstance(entry[1], int)
         )
         if not ok:
-            raise ConfigError(f"hoppings[{i}]: expected [x, xp, re, im] with integer sites")
+            raise ConfigError(f"hoppings[{i}]: expected [x, xp, re, im] with integer sites"
+                              " and a finite amplitude")
         x, xp, re, im = entry
         hops.append((x, xp, complex(re, im)))
 

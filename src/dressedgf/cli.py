@@ -18,6 +18,7 @@ from . import oracle
 from .bath import (
     _bands_from_levels,
     _dense_eigh,
+    _finite_real,
     build_ssh_chain,
     build_uniform_chain,
     default_delta,
@@ -37,17 +38,20 @@ _TOP_KEYS = {
     "bath", "emitters", "gap_factor", "delta", "tol", "seed",
     "n_grid", "k_indices", "g_sweep", "checks", "num_z",
 }
-_BUILDER_KEYS = {
-    "chain": {"builder", "n_sites", "omega_c", "j"},
-    "ssh": {"builder", "n_cells", "omega_c", "j1", "j2"},
+#: builder name -> (function, size key, number keys in argument order)
+_BUILDERS = {
+    "chain": (build_uniform_chain, "n_sites", ("omega_c", "j")),
+    "ssh": (build_ssh_chain, "n_cells", ("omega_c", "j1", "j2")),
 }
 _EMITTER_KEYS = {"omega0", "g", "site"}
 
 
 def _require_number(obj, key, where):
-    val = obj[key]
+    val = obj.get(key)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}: '{key}' must be a number")
+    if not _finite_real(val):
+        raise ConfigError(f"{where}: '{key}' must be finite, got {val!r}")
     return val
 
 
@@ -59,12 +63,12 @@ def _positive(value, key, where="config"):
     return num
 
 
-def _integer(raw, key, default, minimum=None):
+def _integer(raw, key, default, minimum=None, where="config"):
     val = raw.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"config: '{key}' must be an integer")
+        raise ConfigError(f"{where}: '{key}' must be an integer")
     if minimum is not None and val < minimum:
-        raise ConfigError(f"config: '{key}' must be >= {minimum}, got {val}")
+        raise ConfigError(f"{where}: '{key}' must be >= {minimum}, got {val}")
     return val
 
 
@@ -118,20 +122,13 @@ class RunConfig:
             raise ConfigError("config bath: must be an object")
         if "builder" in section:
             name = section["builder"]
-            if name not in _BUILDER_KEYS:
+            if name not in _BUILDERS:
                 raise ConfigError(f"config bath: unknown builder '{name}'")
-            _reject_unknown(section, _BUILDER_KEYS[name], "config bath")
-            if name == "chain":
-                return build_uniform_chain(
-                    int(section.get("n_sites", 0)),
-                    float(_require_number(section, "omega_c", "config bath")),
-                    float(_require_number(section, "j", "config bath")),
-                )
-            return build_ssh_chain(
-                int(section.get("n_cells", 0)),
-                float(_require_number(section, "omega_c", "config bath")),
-                float(_require_number(section, "j1", "config bath")),
-                float(_require_number(section, "j2", "config bath")),
+            build, size, numbers = _BUILDERS[name]
+            _reject_unknown(section, {"builder", size, *numbers}, "config bath")
+            return build(
+                _integer(section, size, None, minimum=1, where="config bath"),
+                *(float(_require_number(section, key, "config bath")) for key in numbers),
             )
         if "file" in section:
             _reject_unknown(section, {"file"}, "config bath")
@@ -157,9 +154,7 @@ class RunConfig:
             for key in _EMITTER_KEYS:
                 if key not in entry:
                     raise ConfigError(f"{where}: missing '{key}'")
-            site = entry["site"]
-            if isinstance(site, bool) or not isinstance(site, int):
-                raise ConfigError(f"{where}: 'site' must be an integer")
+            site = _integer(entry, "site", None, where=where)
             if not 0 <= site < n_sites:
                 raise ConfigError(f"{where}: site {site} out of range 0..{n_sites - 1}")
             if site in taken:
@@ -300,16 +295,20 @@ def _oracle_doublet(spec, emitters, bands, omega0, m):
     return np.sort(in_gap[order[:m]])
 
 
+def _effective_model(s, arr, bands):
+    """The two-emitter model for a pair, the frozen model otherwise."""
+    if arr.m == 2:
+        return effective_hamiltonian_two(s, arr, bands)
+    return effective_hamiltonian_many(s, arr, bands)
+
+
 def cmd_effective(cfg: RunConfig, out: Path) -> int:
     if not cfg.emitters:
         raise ConfigError("config: 'effective' needs at least one emitter")
     s = diagonalize_bath(cfg.bath_spec)
     bands = detect_bands(s, gap_factor=cfg.gap_factor)
     arr = _emitter_array(cfg)
-    if arr.m == 2:
-        ham = effective_hamiltonian_two(s, arr, bands)
-    else:
-        ham = effective_hamiltonian_many(s, arr, bands)
+    ham = _effective_model(s, arr, bands)
     # one dense solve per distinct emitter set: a g_sweep value equal to the
     # config's g reuses the config's spectrum
     doublets = {}
@@ -355,11 +354,7 @@ def cmd_effective(cfg: RunConfig, out: Path) -> int:
                 EmitterSpec(omega0=e.omega0, g=float(g), site=e.site)
                 for e in cfg.emitters
             ))
-            if swept.m == 2:
-                swept_ham = effective_hamiltonian_two(s, swept, bands)
-            else:
-                swept_ham = effective_hamiltonian_many(s, swept, bands)
-            eigs = np.sort(np.linalg.eigvalsh(swept_ham.matrix))
+            eigs = np.sort(np.linalg.eigvalsh(_effective_model(s, swept, bands).matrix))
             target = oracle_doublet(swept.emitters)
             if target.size == eigs.size:
                 err = float(np.max(np.abs(eigs - target)))

@@ -13,7 +13,6 @@ Vectors over the coupled space are ordered ``[e, x_0 .. x_{N-1}]``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +22,20 @@ from .bath import (
     BandStructure,
     SpectralData,
     bath_green_element,
-    bath_green_squared_element,
     default_delta,
     detect_bands,
     green_column,
 )
 from .errors import PoleError
-from .impurity import _contact_f, _contact_green, _contact_roots, _contact_scattering
+from .impurity import (
+    POLE_TOL,
+    _contact_f,
+    _contact_resolvent,
+    _contact_roots,
+    _contact_scattering,
+    _contact_states,
+)
 
-POLE_TOL = 1e-13
 #: |F| below this at a real mode energy sends the mode through untouched.
 F_NODE_TOL = 1e-10
 #: amplitude below this counts as a node of the wavefunction.
@@ -157,16 +161,7 @@ def dressed_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     ``(1/g)<e| + <site|G_B(z)`` over F(z).  For complex z the row partner is
     not the conjugate of the ket; it is what keeps (z - H)G = 1.
     """
-    f = pole_function_F(s, e, z)
-    if abs(f) < POLE_TOL:
-        raise PoleError(f"F(z)={f:.3e} at z={z}: dressed resolvent pole")
-    n = s.n_sites
-    out = np.empty((n + 1, n + 1), dtype=np.complex128)
-    out[1:, 1:], psi, row = _contact_green(s, e.site, z, f)
-    c = 1.0 / e.g
-    out[0, :] = c * np.concatenate(([c], row)) / f
-    out[1:, 0] = psi * c / f
-    return out
+    return _contact_resolvent(s, (e.site,), z, e.contact, "dressed", 1.0 / e.g)[0]
 
 
 def excitonic_green(s: SpectralData, e: EmitterSpec, z: complex) -> complex:
@@ -183,10 +178,7 @@ def field_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     Identical to the photonic block of :func:`dressed_green`; the emitter acts
     on the bath as an impurity of strength :func:`self_potential`.
     """
-    f = pole_function_F(s, e, z)
-    if abs(f) < POLE_TOL:
-        raise PoleError(f"F(z)={f:.3e} at z={z}: field resolvent pole")
-    return _contact_green(s, e.site, z, f)[0]
+    return _contact_resolvent(s, (e.site,), z, e.contact, "field")[0]
 
 
 def _vds_candidate(s: SpectralData, e: EmitterSpec):
@@ -200,19 +192,18 @@ def _vds_candidate(s: SpectralData, e: EmitterSpec):
     return None
 
 
-def _build_bound_state(s, e, omega, bands) -> BoundState:
-    g2 = bath_green_squared_element(s, omega, e.site, e.site).real
-    norm_factor = 1.0 / math.sqrt(1.0 + e.g ** 2 * g2)
-    psi = green_column(s, omega, e.site)
-    gamma = psi[e.site]
-    is_vds = abs(omega - e.omega0) < NODE_TOL and abs(gamma) < NODE_TOL
+def _bound_state(s, e, omega, bands) -> BoundState:
+    states, chol = _contact_states(s, (e.site,), omega, e.contact[0], np.ones((1, 1)), 1.0 / e.g)
+    vec = states[:, 0]
+    # <site|G_B(omega)|site>, the unnormalized photonic amplitude at the site
+    gamma = vec[1 + e.site] * chol[0, 0].real
     return BoundState(
         energy=float(omega),
-        atomic_amplitude=norm_factor,
-        photonic=norm_factor * e.g * psi,
-        norm_factor=norm_factor,
+        atomic_amplitude=float(vec[0].real),
+        photonic=vec[1:],
+        norm_factor=float(vec[0].real),
         in_band=bands.in_band(omega),
-        is_vds=is_vds,
+        is_vds=abs(omega - e.omega0) < NODE_TOL and abs(gamma) < NODE_TOL,
     )
 
 
@@ -244,7 +235,7 @@ def solve_dressed_bound_states(
     vds = _vds_candidate(s, e)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
         roots = sorted(roots + [vds])
-    return [_build_bound_state(s, e, w, bands) for w in roots]
+    return [_bound_state(s, e, w, bands) for w in roots]
 
 
 def dressed_scattering_state(

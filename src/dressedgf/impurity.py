@@ -1,11 +1,13 @@
-"""Single static impurity in a finite bath: resolvent, bound and scattering states.
+"""Single static impurity in a finite bath, and the contact engine behind every model.
 
 The impurity adds ``strength * |site><site|`` to the bath Hamiltonian.  All
 results come from the rank-one update of the bare resolvent by a contact at
 ``site`` with pole function ``f(z)``: ``f = 1/strength - <site|G_B|site>``
 here, ``f = -<site|G_B|site>`` in the vacancy (infinite-strength) limit.  An
-emitter is the same contact with an energy-dependent strength, so
-:mod:`dressedgf.dressed` builds on the contact helpers of this module.
+emitter is the same contact with an energy-dependent strength, M emitters a
+contact on M sites S with the pole matrix F(z) = (slope*z + offset) -
+Gamma_S(z).  :mod:`dressedgf.dressed` and :mod:`dressedgf.multi` wrap the four
+contact pieces here: the Gamma_S block, F, the resolvent and the bound states.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from .bath import (
     BandStructure,
     SpectralData,
     _check_sites,
+    _coinciding_keep,
     _coinciding_poles,
     _element_weights,
     bath_green_element,
-    bath_green_squared_element,
     default_delta,
     detect_bands,
     green_column,
-    green_row,
     green_matrix,
 )
 from .errors import PoleError, RegimeError
@@ -35,7 +36,10 @@ from .errors import PoleError, RegimeError
 #: Sentinel strength for the infinite-repulsion (deleted-site) impurity.
 VACANCY = math.inf
 
+#: A contact resolvent is a pole where F's smallest singular value is below
+#: POLE_TOL or its condition number above COND_LIMIT.
 POLE_TOL = 1e-13
+COND_LIMIT = 1e13
 NODE_TOL = 1e-10
 #: Modes per batch of the scattering core: its temporaries stay O(N * chunk).
 SCATTER_CHUNK = 32
@@ -97,15 +101,21 @@ def impurity_pole_function(s: SpectralData, spec: ImpuritySpec, z: complex) -> c
     return 1.0 / spec.strength - bath_green_element(s, z, spec.site, spec.site)
 
 
-def _contact_green(s: SpectralData, site: int, z: complex, f: complex):
-    """Rank-one contact resolvent ``G_B + G_B|site><site|G_B / f``.
+def _gamma_block(s: SpectralData, sites, z: complex, power: int = 1) -> np.ndarray:
+    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over ``sites`` at ``z``, from pair weights.
 
-    Returns the matrix together with the column ``G_B|site>`` and the row
-    ``<site|G_B`` it was built from.
+    The coinciding-mode rule keys once on each mode's largest diagonal weight:
+    as ``|v_i v_j| <= max(|v_i|**2, |v_j|**2)`` the block raises and drops
+    modes where its elements would, and each entry has their bits.
     """
-    psi = green_column(s, z, site)
-    row = green_row(s, z, site)
-    return green_matrix(s, z) + np.outer(psi, row) / f, psi, row
+    _check_sites(s, *sites)
+    v = s.eigenvectors[list(sites), :]
+    weights = v[:, None, :] * np.conj(v[None, :, :])
+    keep = _coinciding_keep(s, z, np.abs(np.diagonal(weights)).max(axis=-1))
+    energies = s.eigenvalues
+    if keep is not None:
+        weights, energies = weights[..., keep], energies[keep]
+    return _roots._gamma(weights, energies, complex(z), power)
 
 
 def _contact_f(slope, offset, z, gamma):
@@ -116,6 +126,87 @@ def _contact_f(slope, offset, z, gamma):
     """
     re = slope * np.real(z) + offset - np.real(gamma)
     return re + 1j * (slope * np.imag(z) - np.imag(gamma))
+
+
+def _pole_matrix(slope, offset, z, gam) -> np.ndarray:
+    """F = (slope*z + offset) - Gamma_S; the diagonal is :func:`_contact_f`, as for one site."""
+    f = -gam
+    diag = np.diag_indices(gam.shape[-1])
+    f[diag] = _contact_f(slope, offset, z, gam[diag])
+    return f
+
+
+def _contact_resolvent(s: SpectralData, sites, z: complex, contact, what: str,
+                       amplitude=None, gam=None, keep_base: bool = False):
+    """Resolvent ``G_B + kets F(z)^-1 bras`` of the contact ``(slope, offset)`` at ``sites``.
+
+    The kets ``G_B|x_i>`` and bras ``<x_j|G_B`` are the columns and rows of
+    the one buffer holding G_B(z), to which the rank-M term is added.  With
+    ``amplitude`` (1/g for emitters) the buffer spans ``[e_1..e_M, x_0..]``
+    and kets and bras carry ``amplitude`` on ``e_i``.  ``gam`` is Gamma_S(z)
+    if the caller holds it.  Returns ``(green, kets, bras, base)``, ``base``
+    the padded G_B(z) if ``keep_base``.  PoleError, naming ``what``, where
+    F's smallest singular value is below ``POLE_TOL`` or its condition
+    number above ``COND_LIMIT`` (for one site: ``|f| < POLE_TOL``).
+    """
+    if gam is None:
+        gam = _gamma_block(s, sites, z)
+    fm = _pole_matrix(*contact, z, gam)
+    sv = np.linalg.svd(fm, compute_uv=False) if np.all(np.isfinite(fm)) else [np.nan]
+    if not (sv[-1] >= POLE_TOL and sv[0] <= COND_LIMIT * sv[-1]):
+        raise PoleError(f"F(z) numerically singular at z={z} (smallest singular value"
+                        f" {sv[-1]:.3e}, largest {sv[0]:.3e}): {what} resolvent pole")
+    m = len(sites)
+    e = 0 if amplitude is None else m
+    green = np.zeros((e + s.n_sites, e + s.n_sites), dtype=np.complex128)
+    green[e:, e:] = green_matrix(s, z)
+    base = green.copy() if keep_base else None
+    kets = green[:, [e + x for x in sites]]
+    bras = green[[e + x for x in sites], :]
+    if e:
+        kets[range(m), range(m)] = bras[range(m), range(m)] = amplitude
+    green += kets @ np.linalg.solve(fm, bras)
+    return green, kets, bras, base
+
+
+def _contact_kets(s: SpectralData, sites, w: complex, amplitude=None) -> np.ndarray:
+    """Kets ``G_B(w)|x_i>``: the columns of one product ``V (conj(V_S)/(w - E))^T``.
+
+    The coinciding-mode rule is :func:`green_column`'s for all sites at once:
+    a mode raises when any site's ``|<x|k>|`` would.  ``amplitude`` adds the
+    emitter sector of :func:`_contact_resolvent`.
+    """
+    _check_sites(s, *sites)
+    coeff = np.conj(s.eigenvectors[list(sites), :])
+    energies, vecs = s.eigenvalues, s.eigenvectors
+    keep = _coinciding_keep(s, w, np.abs(coeff).max(axis=0))
+    if keep is not None:
+        coeff, energies, vecs = coeff[:, keep], energies[keep], vecs[:, keep]
+    e = 0 if amplitude is None else len(sites)
+    kets = np.zeros((e + s.n_sites, len(sites)), dtype=np.complex128)
+    kets[e:] = vecs @ np.ascontiguousarray((coeff / (complex(w) - energies)).T)
+    if e:
+        kets[range(e), range(e)] = amplitude
+    return kets
+
+
+def _contact_states(s: SpectralData, sites, w: float, slope, null, amplitude=None):
+    """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of a contact's F.
+
+    ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
+    Cholesky factor of ``null^H F'(w) null``, ``F' = slope + Gamma_S^2``, so
+    this is Gram-Schmidt in the order of ``null``.  Returns ``(states, L)``,
+    or None where that Gram matrix is not positive definite.
+    """
+    # the block first: on a coinciding mode it raises with the weight
+    # |<x|k>|**2, as the squared element function did
+    fprime = slope * np.eye(len(sites)) + _gamma_block(s, sites, w, 2)
+    psi = _contact_kets(s, sites, w, amplitude) @ null
+    try:
+        chol = np.linalg.cholesky(np.conj(null.T) @ fprime @ null)
+    except np.linalg.LinAlgError:
+        return None
+    return psi @ np.conj(np.linalg.inv(chol).T), chol
 
 
 def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slope, offset,
@@ -188,10 +279,7 @@ def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarra
         return vacancy_green(s, spec.site, z)
     if spec.strength == 0.0:
         return green_matrix(s, z)
-    f = impurity_pole_function(s, spec, z)
-    if abs(f) < POLE_TOL:
-        raise PoleError(f"f(z)={f:.3e} at z={z}: impurity resolvent pole")
-    return _contact_green(s, spec.site, z, f)[0]
+    return _contact_resolvent(s, (spec.site,), z, spec.contact, "impurity")[0]
 
 
 def vacancy_green(s: SpectralData, site: int, z: complex) -> np.ndarray:
@@ -201,10 +289,7 @@ def vacancy_green(s: SpectralData, site: int, z: complex) -> np.ndarray:
     the row and column at ``site`` vanish identically and the rest equals the
     resolvent of the deleted-site bath.
     """
-    gamma = bath_green_element(s, z, site, site)
-    if abs(gamma) < POLE_TOL:
-        raise PoleError(f"<site|G_B|site>={gamma:.3e} at z={z}: vacancy resolvent pole")
-    out = _contact_green(s, site, z, -gamma)[0]
+    out = _contact_resolvent(s, (site,), z, (0.0, 0.0), "vacancy")[0]
     # The projected row/col are exact zeros up to roundoff; pin them.
     out[site, :] = 0.0
     out[:, site] = 0.0
@@ -239,18 +324,15 @@ def solve_impurity_bound_state(
     )
     states = []
     for w in _contact_roots(s, spec.site, slope, offset, intervals, n_grid, xtol):
-        g2 = bath_green_squared_element(s, w, spec.site, spec.site).real
-        if g2 <= 0.0:
+        built = _contact_states(s, (spec.site,), w, slope, np.ones((1, 1)))
+        if built is None:
             continue
-        norm_factor = 1.0 / math.sqrt(g2)
-        psi = green_column(s, w, spec.site)
-        wavefunction = norm_factor * psi
-        residue_trace = float(np.vdot(psi, psi).real / g2)
+        wavefunction, chol = built[0][:, 0], built[1]
         states.append(ImpurityBoundState(
             energy=float(w),
             wavefunction=wavefunction,
-            norm_factor=norm_factor,
-            residue_trace=residue_trace,
+            norm_factor=float(1.0 / chol[0, 0].real),
+            residue_trace=float(np.vdot(wavefunction, wavefunction).real),
         ))
     return states
 

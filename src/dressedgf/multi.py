@@ -2,8 +2,9 @@
 
 The emitters share ``omega0`` and ``g`` but sit on distinct sites.  The
 resolvent is the rank-M generalization of the single-emitter case with the
-M x M pole matrix F(z); bound doublets, the Born-like T-matrix series and the
-weak-coupling effective Hamiltonians all derive from it.
+M x M pole matrix F(z), evaluated by the contact engine of
+:mod:`dressedgf.impurity`; bound doublets, the Born-like T-matrix series and
+the weak-coupling effective Hamiltonians all derive from it.
 
 Vectors over the coupled space are ordered ``[e_1..e_M, x_0..x_{N-1}]``.
 """
@@ -17,20 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _roots
-from .bath import (
-    BandStructure,
-    SpectralData,
-    _check_sites,
-    bath_green_element,
-    bath_green_squared_element,
-    detect_bands,
-    green_column,
-    green_matrix,
-)
+from .bath import BandStructure, SpectralData, _check_sites, detect_bands
 from .errors import PoleError, RegimeError
+from .impurity import (
+    POLE_TOL,
+    _contact_kets,
+    _contact_resolvent,
+    _contact_states,
+    _gamma_block,
+    _pole_matrix,
+)
 
-POLE_TOL = 1e-13
-COND_LIMIT = 1e13
 #: relative beta cancellation below which the analytic two-atom pieces blow up
 BETA_DEGENERACY = 1e-8
 
@@ -68,6 +66,11 @@ class EmitterArraySpec:
     @property
     def sites(self) -> tuple:
         return tuple(e.site for e in self.emitters)
+
+    @property
+    def contact(self) -> tuple:
+        """``(slope, offset)`` of the shared pole matrix: 1/g**2 and -omega0/g**2."""
+        return self.emitters[0].contact
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,35 +139,21 @@ class EffectiveHamiltonian:
     decomposition: TwoAtomDecomposition | None = None
 
 
-def _site_block(element, s: SpectralData, sites, z: complex) -> np.ndarray:
-    """M x M block ``element(s, z, x_i, x_j)`` over the contact sites."""
-    m = len(sites)
-    out = np.empty((m, m), dtype=np.complex128)
-    for i, xi in enumerate(sites):
-        for j, xj in enumerate(sites):
-            if j < i:
-                continue
-            out[i, j] = element(s, z, xi, xj)
-            if j > i:
-                out[j, i] = element(s, z, xj, xi)
-    return out
-
-
 def f_matrix(s: SpectralData, arr: EmitterArraySpec, z: complex) -> FMatrix:
     """F_ij(z) = (z - omega0)/g**2 delta_ij - <x_i|G_B(z)|x_j>.
 
-    For two emitters the asymmetry, level splitting and shifted center that
-    control the weak-coupling doublet are attached.
+    Evaluated in the contact form ``z/g**2 - omega0/g**2 - Gamma_S`` that the
+    root finder uses.  For two emitters the asymmetry, level splitting and
+    shifted center that control the weak-coupling doublet are attached.
     """
     z = complex(z)
-    return _f_from_block(arr, z, _site_block(bath_green_element, s, arr.sites, z))
+    gam = _gamma_block(s, arr.sites, z)
+    return _with_pair_scalars(arr, z, _pole_matrix(*arr.contact, z, gam), gam)
 
 
-def _f_from_block(arr: EmitterArraySpec, z: complex, gam: np.ndarray) -> FMatrix:
-    """:func:`f_matrix` from an already built Gamma_S block ``gam``."""
-    mat = -gam
-    diag = (z - arr.omega0) / arr.g ** 2
-    mat[np.diag_indices(arr.m)] += diag
+def _with_pair_scalars(arr: EmitterArraySpec, z: complex, mat: np.ndarray,
+                       gam: np.ndarray) -> FMatrix:
+    """The :class:`FMatrix` of ``mat``, F at ``z`` built from the Gamma_S block ``gam``."""
     asym = split = center = None
     if arr.m == 2:
         g2 = arr.g ** 2
@@ -183,52 +172,14 @@ def overlap_matrix(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.n
     omega = complex(omega)
     if omega.imag != 0.0:
         raise ValueError("overlap matrix is defined at real energies only")
-    out = _site_block(bath_green_squared_element, s, arr.sites, omega)
-    out[np.diag_indices(arr.m)] += 1.0 / arr.g ** 2
+    out = _gamma_block(s, arr.sites, omega, 2)
+    out[np.diag_indices(arr.m)] += arr.contact[0]
     return out
-
-
-def _psi_kets(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
-    m, n = arr.m, s.n_sites
-    kets = np.zeros((m + n, m), dtype=np.complex128)
-    for i, x in enumerate(arr.sites):
-        kets[i, i] = 1.0 / arr.g
-        kets[m:, i] = green_column(s, z, x)
-    return kets
-
-
-def _rank_m_green(s: SpectralData, arr: EmitterArraySpec, z: complex, gam=None,
-                  keep_base: bool = False):
-    """Rank-M resolvent ``G_B + kets F(z)^-1 bras`` and the pieces it is built from.
-
-    One (N+M)^2 buffer takes G_B(z) in its photonic block; the kets
-    ``(1/g)|e_i> + G_B|x_i>`` and bras ``(1/g)<e_j| + <x_j|G_B`` are read
-    off that block's columns and rows, then the rank-M term is added in
-    place.  Returns ``(green, kets, bras, base)``; ``base`` is a copy of the
-    padded G_B(z) if ``keep_base``, else None.  A caller that already holds
-    the Gamma_S block at ``z`` passes it as ``gam``.
-    """
-    fm = f_matrix(s, arr, z).matrix if gam is None else _f_from_block(arr, z, gam).matrix
-    cond = np.linalg.cond(fm)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise PoleError(f"F(z) numerically singular at z={z} (cond={cond:.3e})")
-    m, n = arr.m, s.n_sites
-    green = np.zeros((m + n, m + n), dtype=np.complex128)
-    green[m:, m:] = green_matrix(s, z)
-    base = green.copy() if keep_base else None
-    contacts = [m + x for x in arr.sites]
-    kets = np.zeros((m + n, m), dtype=np.complex128)
-    kets[m:] = green[m:, contacts]
-    bras = np.zeros((m, m + n), dtype=np.complex128)
-    bras[:, m:] = green[contacts, m:]
-    kets[range(m), range(m)] = bras[range(m), range(m)] = 1.0 / arr.g
-    green += kets @ np.linalg.solve(fm, bras)
-    return green, kets, bras, base
 
 
 def multi_green(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
     """Full resolvent over ``[e_1..e_M, x_0..x_{N-1}]`` via the rank-M update."""
-    return _rank_m_green(s, arr, z)[0]
+    return _contact_resolvent(s, arr.sites, z, arr.contact, "emitter-array", 1.0 / arr.g)[0]
 
 
 def t_matrix_series_green(
@@ -248,11 +199,13 @@ def t_matrix_series_green(
     if abs(z - arr.omega0) < POLE_TOL:
         raise PoleError(f"bare emitter pole at z={z}")
     gamma_e = 1.0 / (z - arr.omega0)
-    gam = _site_block(bath_green_element, s, arr.sites, z)
+    gam = _gamma_block(s, arr.sites, z)
     t = arr.g ** 2 * gamma_e * gam
     rho = float(np.max(np.abs(np.linalg.eigvals(t))))
 
-    closed, kets, bras, base = _rank_m_green(s, arr, z, gam, keep_base=True)
+    closed, kets, bras, base = _contact_resolvent(
+        s, arr.sites, z, arr.contact, "emitter-array", 1.0 / arr.g, gam, keep_base=True
+    )
     h = np.eye(arr.m, dtype=np.complex128)
     term = np.eye(arr.m, dtype=np.complex128)
     residuals = []
@@ -292,8 +245,8 @@ def det_f_roots(
         max(arr.omega0, float(s.eigenvalues[-1])) + arr.g + 1.0,
     )
     return _roots.contact_roots(
-        v[:, None, :] * np.conj(v[None, :, :]), s.eigenvalues,
-        1.0 / arr.g ** 2, -arr.omega0 / arr.g ** 2, intervals, n_grid, xtol,
+        v[:, None, :] * np.conj(v[None, :, :]), s.eigenvalues, *arr.contact, intervals,
+        n_grid, xtol,
     )
 
 
@@ -342,55 +295,26 @@ def solve_two_atom_poles(
     if bands is None:
         bands = detect_bands(s)
     roots = det_f_roots(s, arr, bands, xtol=xtol)
-    if not roots:
-        return TwoAtomPoles(roots=(), omega_minus=None, omega_plus=None,
-                            state_minus=None, state_plus=None)
-    ranked = sorted(roots, key=lambda w: abs(w - arr.omega0))
-    doublet = sorted(ranked[:2])
+    doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
 
-    def state_at(w: float) -> np.ndarray:
-        fm = f_matrix(s, arr, complex(w)).matrix
-        evals, evecs = np.linalg.eigh(fm)
-        null = evecs[:, int(np.argmin(np.abs(evals)))]
-        vec = _psi_kets(s, arr, complex(w)) @ null
-        return vec / np.linalg.norm(vec)
+    def states_at(w: float, count: int) -> np.ndarray:
+        # the null vectors of F(w): eigenvectors by ascending |eigenvalue|
+        fvals, fvecs = np.linalg.eigh(f_matrix(s, arr, complex(w)).matrix)
+        null = fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
+        return _contact_states(s, arr.sites, w, arr.contact[0], null, 1.0 / arr.g)[0]
 
-    if len(doublet) == 1:
-        state = state_at(doublet[0])
-        if doublet[0] <= arr.omega0:
-            return TwoAtomPoles(roots=tuple(roots), omega_minus=doublet[0], omega_plus=None,
-                                state_minus=state, state_plus=None)
-        return TwoAtomPoles(roots=tuple(roots), omega_minus=None, omega_plus=doublet[0],
-                            state_minus=None, state_plus=state)
-
-    if abs(doublet[1] - doublet[0]) < 1e-9 * max(1.0, abs(doublet[0])):
+    if len(doublet) == 2 and abs(doublet[1] - doublet[0]) < 1e-9 * max(1.0, abs(doublet[0])):
         # The roots coincide below root-finder resolution (distant atoms): F has
-        # a 2D near-null space there; split it along the eigenvectors instead of
-        # chasing two copies of the same null vector.
-        fm = f_matrix(s, arr, complex(doublet[0])).matrix
-        fvals, fvecs = np.linalg.eigh(fm)
-        order = np.argsort(np.abs(fvals))
-        kets = _psi_kets(s, arr, complex(doublet[0]))
-        a = kets @ fvecs[:, order[0]]
-        b = kets @ fvecs[:, order[1]]
-        a = a / np.linalg.norm(a)
-        b = b - (np.vdot(a, b)) * a
-        b = b / np.linalg.norm(b)
-        return TwoAtomPoles(roots=tuple(roots), omega_minus=doublet[0],
-                            omega_plus=doublet[1], state_minus=a, state_plus=b)
-
-    return TwoAtomPoles(
-        roots=tuple(roots),
-        omega_minus=doublet[0],
-        omega_plus=doublet[1],
-        state_minus=state_at(doublet[0]),
-        state_plus=state_at(doublet[1]),
-    )
-
-
-def _normalized_basis(s, arr, omega, norms):
-    kets = _psi_kets(s, arr, complex(omega))
-    return kets / np.sqrt(norms)[None, :]
+        # a 2D near-null space there; both states come from it at once.
+        states = list(states_at(doublet[0], 2).T)
+    else:
+        states = [states_at(w, 1)[:, 0] for w in doublet]
+    if len(doublet) == 1 and doublet[0] > arr.omega0:
+        # a lone pole above omega0 is the plus pole
+        doublet, states = [None] + doublet, [None] + states
+    doublet, states = (doublet + [None, None])[:2], (states + [None, None])[:2]
+    return TwoAtomPoles(roots=tuple(roots), omega_minus=doublet[0], omega_plus=doublet[1],
+                        state_minus=states[0], state_plus=states[1])
 
 
 def _gap_distance(bands: BandStructure, omega0: float) -> float:
@@ -420,13 +344,13 @@ def effective_hamiltonian_many(
     if bands is None:
         bands = detect_bands(s)
     dist = _gap_distance(bands, arr.omega0)
-    fm = f_matrix(s, arr, complex(arr.omega0)).matrix
+    # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
+    gam = _gamma_block(s, arr.sites, arr.omega0)
     g2 = arr.g ** 2
-    # at z = omega0 the diagonal shift of F vanishes, so gamma^B = -F exactly
-    gam = -fm
     mat = arr.omega0 * np.eye(arr.m) + g2 * gam
+    # the single-emitter dressed states at omega0, each normalized alone
     norms = np.real(np.diag(overlap_matrix(s, arr, arr.omega0)))
-    basis = _normalized_basis(s, arr, arr.omega0, norms)
+    basis = _contact_kets(s, arr.sites, arr.omega0, 1.0 / arr.g) / np.sqrt(norms)
     gammas = np.linalg.eigvalsh(gam)
     ratio = float(np.max(np.abs(g2 * np.diag(gam))) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(
@@ -457,7 +381,9 @@ def effective_hamiltonian_two(
         bands = detect_bands(s)
     dist = _gap_distance(bands, arr.omega0)
     g2 = arr.g ** 2
-    fdata = f_matrix(s, arr, complex(arr.omega0))
+    # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
+    gam = _gamma_block(s, arr.sites, arr.omega0)
+    fdata = _with_pair_scalars(arr, complex(arr.omega0), -gam, gam)
     fm = fdata.matrix
     fprime = overlap_matrix(s, arr, arr.omega0)
     n1 = float(np.real(fprime[0, 0]))
@@ -521,8 +447,7 @@ def effective_hamiltonian_two(
         asymmetry=asym, splitting=split, shifted_center=center,
         h_s=h_s_n, h_a=h_a_n,
     )
-    norms = np.array([n1, n2])
-    basis = _normalized_basis(s, arr, arr.omega0, norms)
+    basis = _contact_kets(s, arr.sites, arr.omega0, 1.0 / arr.g) / scale
     gammas = np.linalg.eigvalsh(-fm)
     ratio = float(max(abs(g2 * fm[0, 0]), abs(g2 * fm[1, 1])) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(

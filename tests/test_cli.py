@@ -1,8 +1,10 @@
 """End-to-end checks of the batch front-end: files, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,55 @@ def test_bad_scalar_config_is_a_config_error(tmp_path, capsys, command, extra, m
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()  # rejected before any output is written
+
+
+BUILDER_SIZES = [("chain", "n_sites", {"omega_c": 0.0, "j": 1.0}),
+                 ("ssh", "n_cells", {"omega_c": 0.0, "j1": 0.5, "j2": 1.0})]
+_MISSING = object()
+
+
+@pytest.mark.parametrize("builder,key,numbers", BUILDER_SIZES, ids=["chain", "ssh"])
+@pytest.mark.parametrize("value", [_MISSING, "abc", -3, 10.7, True],
+                         ids=["missing", "abc", "-3", "10.7", "true"])
+def test_bad_builder_size_is_a_config_error(tmp_path, capsys, builder, key, numbers, value):
+    bath = {"builder": builder, **numbers}
+    if value is not _MISSING:
+        bath[key] = value
+    cfg = _write_config(tmp_path, "run.json", {"bath": bath})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+
+
+NON_FINITE_CONFIGS = [
+    ("compare", {"emitters": [{"omega0": math.nan, "g": 0.3, "site": 3}]}, "'omega0'"),
+    ("compare", {"emitters": [{"omega0": 2.5, "g": math.inf, "site": 3}]}, "'g'"),
+    ("spectrum", {"bath": {"builder": "chain", "n_sites": 8, "omega_c": math.nan, "j": 1.0}},
+     "'omega_c'"),
+    ("spectrum", {"bath": {"builder": "ssh", "n_cells": 4, "omega_c": 0.0, "j1": -math.inf,
+                           "j2": 1.0}}, "'j1'"),
+    ("spectrum", {"bath": {"n_sites": 2, "frequencies": [0.0, math.nan],
+                           "hoppings": [[0, 1, 1.0, 0.0]]}}, "frequencies"),
+    ("spectrum", {"bath": {"n_sites": 2, "frequencies": math.inf,
+                           "hoppings": [[0, 1, 1.0, 0.0]]}}, "frequencies"),
+    ("spectrum", {"bath": {"n_sites": 2, "frequencies": 0.0,
+                           "hoppings": [[0, 1, 1.0, math.inf]]}}, "hoppings[0]"),
+    ("scattering", {"delta": math.inf}, "'delta'"),
+    ("effective", {"g_sweep": [0.1, math.nan]}, "'g'"),
+]
+
+
+@pytest.mark.parametrize("command,extra,key", NON_FINITE_CONFIGS,
+                         ids=["omega0-nan", "g-inf", "omega_c-nan", "j1-minus-inf",
+                              "frequencies-nan", "frequencies-inf", "hopping-inf", "delta-inf",
+                              "g_sweep-nan"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, extra, key):
+    # json reads NaN and Infinity; neither is a usable parameter
+    cfg = _write_config(tmp_path, "run.json", {**_chain20_emitters((3, 0.3)), **extra})
+    assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text()
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "finite" in err
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--tol"])

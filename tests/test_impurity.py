@@ -9,8 +9,12 @@ from dressedgf import (
     ImpuritySpec,
     PoleError,
     RegimeError,
+    bath_green_element,
+    bath_green_squared_element,
+    build_ssh_chain,
     build_uniform_chain,
     diagonalize_bath,
+    green_column,
     green_matrix,
     impurity_green,
     impurity_pole_function,
@@ -19,6 +23,7 @@ from dressedgf import (
     solve_impurity_bound_state,
     vacancy_green,
 )
+from dressedgf import impurity
 
 from conftest import fidelity, random_bath_spec, random_gapped_bath, random_z
 
@@ -270,3 +275,54 @@ def test_bound_state_rejects_out_of_range_site(bad):
     s = diagonalize_bath(build_uniform_chain(12, 0.0, 1.0))
     with pytest.raises(ValueError, match="out of range"):
         solve_impurity_bound_state(s, ImpuritySpec(site=bad, strength=3.0))
+
+
+# ------------------------------------------------------- contact engine
+
+
+def _elementwise(element, s, sites, z):
+    return np.array([[element(s, z, xi, xj) for xj in sites] for xi in sites])
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_gamma_block_is_bit_equal_to_its_elements(m):
+    rng = np.random.default_rng(70 + m)
+    baths = (build_uniform_chain(60, 0.0, 1.0), build_ssh_chain(30, 0.0, 0.5, 1.0),
+             random_bath_spec(rng, 40))
+    for spec in baths:
+        s = diagonalize_bath(spec)
+        sites = tuple(int(x) for x in rng.choice(s.n_sites, size=m, replace=False))
+        ev = s.eigenvalues
+        # complex z, real z outside the spectrum and real z between two levels
+        for z in (random_z(rng, s), float(ev[-1]) + 0.3, 0.5 * float(ev[7] + ev[8])):
+            for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
+                block = impurity._gamma_block(s, sites, z, power)
+                assert block.tobytes() == _elementwise(element, s, sites, z).tobytes()
+
+
+def test_gamma_block_and_kets_raise_and_drop_modes_as_their_elements():
+    # chain of 5: the mode at energy 0 has nodes on sites 1 and 3
+    s = diagonalize_bath(build_uniform_chain(5, 0.0, 1.0))
+    w = float(s.eigenvalues[2])
+    outcomes = set()
+    for sites in ((1,), (1, 3), (3, 1), (0,), (0, 1), (1, 0), (3, 2, 4)):
+        for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
+            try:
+                ref = _elementwise(element, s, sites, w)
+            except PoleError:
+                outcomes.add("raise")
+                with pytest.raises(PoleError, match="coincides with eigenvalue"):
+                    impurity._gamma_block(s, sites, w, power)
+            else:
+                outcomes.add("drop")
+                assert impurity._gamma_block(s, sites, w, power).tobytes() == ref.tobytes()
+        # the kets follow green_column: a mode raises when any site's |<x|k>| would
+        try:
+            columns = np.array([green_column(s, w, x) for x in sites]).T
+        except PoleError:
+            with pytest.raises(PoleError, match="coincides with eigenvalue"):
+                impurity._contact_kets(s, sites, w)
+        else:
+            np.testing.assert_allclose(impurity._contact_kets(s, sites, w), columns,
+                                       rtol=0, atol=1e-14)
+    assert outcomes == {"raise", "drop"}

@@ -33,9 +33,9 @@ from dressedgf import (
     t_matrix_series_green,
 )
 import dressedgf
-from dressedgf import multi
+from dressedgf import impurity, multi
 
-from conftest import random_gapped_bath, random_z
+from conftest import random_bath_spec, random_gapped_bath, random_z
 
 
 def _pair(omega0, g, x1, x2):
@@ -75,6 +75,20 @@ def test_f_matrix_single_emitter_matches_pole_function():
         fd = f_matrix(s, arr, z)
         assert abs(fd.matrix[0, 0] - pole_function_F(s, e, z)) < 1e-14
         assert fd.asymmetry is None and fd.splitting is None
+
+
+def test_f_matrix_single_emitter_is_pole_function_bit_for_bit():
+    # one F for every M: the 1 x 1 pole matrix is the scalar pole function,
+    # and the emitter-array resolvent of one emitter is the dressed one
+    rng = np.random.default_rng(72)
+    for spec in (build_uniform_chain(30, 0.0, 1.0), random_bath_spec(rng, 20)):
+        s = diagonalize_bath(spec)
+        e = EmitterSpec(2.2, 0.4, 3)
+        arr = EmitterArraySpec(emitters=(e,))
+        for z in (3.7, 0.7 + 0.5j, -2.6 - 0.01j, random_z(rng, s)):
+            f = f_matrix(s, arr, z).matrix[0, 0]
+            assert np.complex128(f).tobytes() == np.complex128(pole_function_F(s, e, z)).tobytes()
+            assert multi_green(s, arr, z).tobytes() == dressed_green(s, e, z).tobytes()
 
 
 def test_f_matrix_chain2_closed_form():
@@ -159,6 +173,18 @@ def test_multi_green_pole_at_bound_doublet():
         multi_green(s, arr, poles.omega_plus)
 
 
+def test_multi_green_single_emitter_raises_at_a_dressed_pole():
+    # a 1 x 1 F has condition number 1 at any value: the singularity rule
+    # also floors its smallest singular value, as dressed_green does
+    s = diagonalize_bath(BathSpec(n_sites=1, frequencies=(0.0,), hoppings=()))
+    e = EmitterSpec(omega0=0.0, g=1.0, site=0)
+    for z in (1.0, 1.0 + 1e-15):
+        with pytest.raises(PoleError, match="singular"):
+            multi_green(s, EmitterArraySpec((e,)), z)
+        with pytest.raises(PoleError, match="dressed resolvent pole"):
+            dressed_green(s, e, z)
+
+
 def test_multi_green_disconnected_baths_add_up():
     # two unconnected chains in one spec: F is diagonal, the corrections from
     # the two emitters are independent rank-one terms
@@ -194,13 +220,14 @@ def test_rank_m_green_reads_kets_and_bras_off_one_green_matrix(monkeypatch):
     _, s, _ = random_gapped_bath(rng, 5, 4)
     calls = {"green_matrix": 0, "green_column": 0, "green_row": 0}
     for name in calls:
-        original = getattr(multi, name, None) or getattr(dressedgf.bath, name)
+        original = getattr(impurity, name, None) or getattr(dressedgf.bath, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(multi, name, counted, raising=False)
+        # the contact resolvent of impurity.py makes these calls for multi_green
+        monkeypatch.setattr(impurity, name, counted, raising=False)
     for arr in (_pair(0.1, 0.5, 1, 6),
                 EmitterArraySpec(tuple(EmitterSpec(0.1, 0.5, x) for x in (0, 3, 8)))):
         z = random_z(rng, s)
@@ -275,15 +302,16 @@ def test_t_matrix_series_builds_gamma_block_once(monkeypatch):
     _, s, _ = random_gapped_bath(rng, 4, 4)
     arr = _pair(0.1, 0.5, 1, 5)
     calls = []
-    element = multi.bath_green_element
+    block = multi._gamma_block
 
     def counting(*args):
         calls.append(args)
-        return element(*args)
+        return block(*args)
 
-    monkeypatch.setattr(multi, "bath_green_element", counting)
+    # the whole M x M block is one call; the contact resolvent builds none
+    monkeypatch.setattr(multi, "_gamma_block", counting)
     t_matrix_series_green(s, arr, 0.1 + 2.5j)
-    assert len(calls) == arr.m ** 2
+    assert len(calls) == 1
 
 
 def test_t_matrix_series_pole_at_omega0():
@@ -364,6 +392,32 @@ def test_two_atom_poles_distant_atoms_degenerate():
     assert cluster.shape[1] == 2
     for st in (poles.state_minus, poles.state_plus):
         assert np.linalg.norm(cluster.conj().T @ st) > 1 - 1e-9
+
+
+def test_two_atom_states_keep_their_gram_schmidt_meaning():
+    # reference: the null vectors of F(w), ordered by |eigenvalue|, applied to
+    # the dressed kets from green_column, then Gram-Schmidt in that order
+    for n, x1, x2 in ((200, 50, 150), (12, 3, 8)):
+        s = diagonalize_bath(build_uniform_chain(n, 0.0, 1.0))
+        arr = _pair(2.5, 0.1, x1, x2)
+        poles = solve_two_atom_poles(s, arr)
+        degenerate = poles.omega_plus - poles.omega_minus < 1e-8
+        assert degenerate == (n == 200)
+        refs = []
+        for w in ((poles.omega_minus,) if degenerate else (poles.omega_minus, poles.omega_plus)):
+            fvals, fvecs = np.linalg.eigh(f_matrix(s, arr, w).matrix)
+            kets = np.zeros((2 + n, 2), dtype=np.complex128)
+            for i, x in enumerate(arr.sites):
+                kets[i, i] = 1.0 / arr.g
+                kets[2:, i] = green_column(s, w, x)
+            order = np.argsort(np.abs(fvals))
+            refs += [kets @ fvecs[:, k] for k in order[:2 if degenerate else 1]]
+        refs = [r / np.linalg.norm(r) for r in refs]
+        if degenerate:
+            refs[1] = refs[1] - np.vdot(refs[0], refs[1]) * refs[0]
+            refs[1] = refs[1] / np.linalg.norm(refs[1])
+        np.testing.assert_allclose(poles.state_minus, refs[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(poles.state_plus, refs[1], rtol=0, atol=1e-12)
 
 
 def test_two_atom_splitting_scales_with_g_squared():

@@ -226,13 +226,14 @@ def test_compare_rejects_unknown_check():
 
 def test_compare_negative_control(monkeypatch):
     # corrupt the formula-side bath resolvent; the dense reference must notice
-    original = dressedgf.multi.green_matrix
+    original = dressedgf.impurity.green_matrix
 
     def crooked(s, z):
         out = original(s, z)
         return out + 1e-6
 
-    monkeypatch.setattr(dressedgf.multi, "green_matrix", crooked)
+    # multi_green takes G_B(z) through the contact resolvent of impurity.py
+    monkeypatch.setattr(dressedgf.impurity, "green_matrix", crooked)
     spec = build_uniform_chain(5, 0.0, 1.0)
     report = compare(
         spec, (EmitterSpec(2.5, 0.4, 2),), checks=("resolvent_identity",),
