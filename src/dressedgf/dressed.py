@@ -193,7 +193,7 @@ def _vds_candidate(s: SpectralData, e: EmitterSpec):
 
 
 def _bound_state(s, e, omega, bands) -> BoundState:
-    states, chol = _contact_states(s, (e.site,), omega, e.contact[0], np.ones((1, 1)), 1.0 / e.g)
+    states, chol = _contact_states(s, (e.site,), omega, np.ones((1, 1)), 1.0 / e.g)
     vec = states[:, 0]
     # <site|G_B(omega)|site>, the unnormalized photonic amplitude at the site
     gamma = vec[1 + e.site] * chol[0, 0].real

@@ -190,20 +190,20 @@ def _contact_kets(s: SpectralData, sites, w: complex, amplitude=None) -> np.ndar
     return kets
 
 
-def _contact_states(s: SpectralData, sites, w: float, slope, null, amplitude=None):
+def _contact_states(s: SpectralData, sites, w: float, null, amplitude=None):
     """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of a contact's F.
 
     ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
-    Cholesky factor of ``null^H F'(w) null``, ``F' = slope + Gamma_S^2``, so
-    this is Gram-Schmidt in the order of ``null``.  Returns ``(states, L)``,
-    or None where that Gram matrix is not positive definite.
+    Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
+    ``null^H (slope + Gamma_S^2) null`` as the emitter sector holds
+    ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
+    Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
-    # the block first: on a coinciding mode it raises with the weight
-    # |<x|k>|**2, as the squared element function did
-    fprime = slope * np.eye(len(sites)) + _gamma_block(s, sites, w, 2)
+    # the Gamma_S^2 sum's key |<x|k>|**2 first, so a coinciding mode's message keeps it
+    _coinciding_keep(s, w, np.abs(s.eigenvectors[list(sites), :]).max(axis=0) ** 2)
     psi = _contact_kets(s, sites, w, amplitude) @ null
     try:
-        chol = np.linalg.cholesky(np.conj(null.T) @ fprime @ null)
+        chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
     except np.linalg.LinAlgError:
         return None
     return psi @ np.conj(np.linalg.inv(chol).T), chol
@@ -324,7 +324,7 @@ def solve_impurity_bound_state(
     )
     states = []
     for w in _contact_roots(s, spec.site, slope, offset, intervals, n_grid, xtol):
-        built = _contact_states(s, (spec.site,), w, slope, np.ones((1, 1)))
+        built = _contact_states(s, (spec.site,), w, np.ones((1, 1)))
         if built is None:
             continue
         wavefunction, chol = built[0][:, 0], built[1]

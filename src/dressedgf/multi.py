@@ -301,7 +301,7 @@ def solve_two_atom_poles(
         # the null vectors of F(w): eigenvectors by ascending |eigenvalue|
         fvals, fvecs = np.linalg.eigh(f_matrix(s, arr, complex(w)).matrix)
         null = fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
-        return _contact_states(s, arr.sites, w, arr.contact[0], null, 1.0 / arr.g)[0]
+        return _contact_states(s, arr.sites, w, null, 1.0 / arr.g)[0]
 
     if len(doublet) == 2 and abs(doublet[1] - doublet[0]) < 1e-9 * max(1.0, abs(doublet[0])):
         # The roots coincide below root-finder resolution (distant atoms): F has

@@ -302,14 +302,16 @@ def test_t_matrix_series_builds_gamma_block_once(monkeypatch):
     _, s, _ = random_gapped_bath(rng, 4, 4)
     arr = _pair(0.1, 0.5, 1, 5)
     calls = []
-    block = multi._gamma_block
+    block = impurity._gamma_block
 
     def counting(*args):
         calls.append(args)
         return block(*args)
 
-    # the whole M x M block is one call; the contact resolvent builds none
+    # the whole M x M block is one call, counted wherever it is built: the
+    # series holds it and the contact resolvent builds none of its own
     monkeypatch.setattr(multi, "_gamma_block", counting)
+    monkeypatch.setattr(impurity, "_gamma_block", counting)
     t_matrix_series_green(s, arr, 0.1 + 2.5j)
     assert len(calls) == 1
 
