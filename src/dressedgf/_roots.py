@@ -7,6 +7,9 @@ branch is strictly increasing between the bath poles (F' = slope + Gamma_S^2
 is the positive-definite Gram matrix of the dressed states), so sign changes
 on a scan grid pin down every root.  Grids are clustered geometrically
 towards pole endpoints to catch roots exponentially close to a band edge.
+Every search enters through :func:`dressedgf.impurity._contact_roots`, which
+passes the bath's pair weights; Gamma_S is the one kernel
+:func:`dressedgf._kernels.mode_sum`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import _kernels
 
 BISECT_XTOL = 1e-12
 _EDGE_MARGINS = (1e-13, 1e-10, 1e-7, 1e-4)
@@ -94,23 +99,6 @@ def bisect(f, lo: float, hi: float, flo: float, fhi: float, xtol: float = BISECT
     return 0.5 * (lo + hi)
 
 
-def _gamma(weights, energies, w, power: int = 1) -> np.ndarray:
-    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) at ``w``, one mode sum per site pair.
-
-    ``w`` is a scalar or a 1-D grid; the two site indices come last.  A real
-    ``w`` with real weights keeps the sums real.
-    """
-    d = np.subtract.outer(w, energies)
-    if power == 2:
-        d = d * d
-    m = weights.shape[0]
-    out = np.empty(d.shape[:-1] + (m, m), dtype=np.result_type(weights, d))
-    for i in range(m):
-        for j in range(m):
-            out[..., i, j] = np.sum(weights[i, j] / d, axis=-1)
-    return out
-
-
 def _branches(gam: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues (and eigenvectors) of Hermitian Gamma_S blocks.
 
@@ -128,7 +116,7 @@ def pole_function_grid(weights, energies, xs, slope, offset) -> np.ndarray:
     Row ``n`` holds the branch values at ``xs[n]``, ascending in Gamma_S and
     so descending in F.
     """
-    return slope * xs[:, None] + offset - _branches(_gamma(weights, energies, xs))
+    return slope * xs[:, None] + offset - _branches(_kernels.mode_sum(weights, energies, xs))
 
 
 def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
@@ -136,28 +124,30 @@ def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
     """Roots of the M sorted branches of F(w) = (slope*w + offset) - Gamma_S(w).
 
     ``weights[i, j, k] = <x_i|k><k|x_j>`` are the pair weights of the bath
-    modes at ``energies`` on the M contact sites (the real ``|<x|k>|**2`` for
-    one site), so ``Gamma_S(w)[i, j] = sum_k weights[i, j, k]/(w -
-    energies[k])``.  ``intervals`` is an iterable of (a, b, a_open, b_open);
-    open ends are treated as poles or band edges and approached with
-    shrinking margins.  Each bracketed root is bisected on its branch and
-    Newton-polished with F' = slope + v^H Gamma_S^2 v, v the branch
-    eigenvector.  Returns the roots of every branch, sorted ascending, with
-    each branch deduplicated within 10*xtol: a root on two branches is
-    listed twice.
+    modes at ``energies`` on the M contact sites, so ``Gamma_S(w)[i, j] =
+    sum_k weights[i, j, k]/(w - energies[k])`` (:func:`_kernels.mode_sum`).
+    ``intervals`` is an iterable of (a, b, a_open, b_open); open ends are
+    treated as poles or band edges and approached with shrinking margins.
+    Each bracketed root is bisected on its branch and Newton-polished with F'
+    = slope + v^H Gamma_S^2 v, v the branch eigenvector.  Returns the roots
+    of every branch, sorted ascending, with each branch deduplicated within
+    10*xtol: a root on two branches is listed twice.
     """
     m = weights.shape[0]
 
+    def gamma(w, power=1):
+        return _kernels.mode_sum(weights, energies, w, power)
+
     def f_branch(w, b):
-        return slope * w + offset - _branches(_gamma(weights, energies, w))[b]
+        return slope * w + offset - _branches(gamma(w))[b]
 
     def polish(w, b, lo, hi):
         for _ in range(4):
             z = complex(w)
-            mu, vecs = _branches(_gamma(weights, energies, z), vectors=True)
+            mu, vecs = _branches(gamma(z), vectors=True)
             v = vecs[:, b]
             f = slope * w + offset - mu[b]
-            fp = slope + float(np.real(np.conj(v) @ _gamma(weights, energies, z, 2) @ v))
+            fp = slope + float(np.real(np.conj(v) @ gamma(z, 2) @ v))
             if fp <= 0.0 or not np.isfinite(fp):
                 break
             step = f / fp

@@ -1,9 +1,13 @@
-"""Finite photonic baths: specs, diagonalization and bare Green functions.
+"""Finite photonic baths: specs, diagonalization and the dense Green-function backend.
 
-A bath is a finite tight-binding lattice.  All Green functions are evaluated
-as explicit mode sums over the eigendecomposition, so they are exact for the
-finite lattice; limits onto the real axis are taken as ``z = w + 1j*delta``
-with ``delta`` defaulting to :func:`default_delta` of the spectral width.
+A bath is a finite tight-binding lattice; its eigendecomposition is the one
+backend of every bath Green function, exact for the finite lattice.  The
+contact engine asks it for the Gamma_S or Gamma_S^2 block over the contact
+sites (:func:`_gamma_block`) and for columns G_B|x> (:func:`_green_columns`);
+an element is an entry of a block, a row the conjugate column at conj(z), and
+the full matrix :func:`_spectral_sum`.  All share one coinciding-mode rule,
+:func:`_coinciding_modes`.  Limits onto the real axis are taken as ``z = w +
+1j*delta`` with ``delta`` defaulting to :func:`default_delta`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import BranchError, ConfigError, PoleError
 
 # A mode counts as coinciding with a real evaluation point below this distance.
 POLE_ATOL = 1e-12
-# Coinciding modes with weight below this are dropped instead of raising.
+# Coinciding modes with |<x|k>|**2 below this on every site are dropped, not raised.
 WEIGHT_TOL = 1e-12
 DEFAULT_GAP_FACTOR = 5.0
 DELTA_SCALE = 1e-8
@@ -190,9 +194,12 @@ def build_ssh_chain(n_cells: int, omega_c: float, j1: float, j2: float) -> BathS
 
 
 def _finite_real(value) -> bool:
-    """A number that is not a bool, a NaN or an infinity (json reads the last two)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
+    """A number that is not a bool, NaN, infinite or an int beyond float range (json reads all)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def load_bath_spec(text: str) -> BathSpec:
@@ -298,106 +305,109 @@ def _fix_phases(evecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _element_weights(s: SpectralData, x: int, xp: int) -> np.ndarray:
-    return s.eigenvectors[x, :] * np.conj(s.eigenvectors[xp, :])
-
-
 def _check_sites(s: SpectralData, *sites: int) -> None:
     for x in sites:
         if not (0 <= x < s.n_sites):
             raise ValueError(f"site {x} out of range 0..{s.n_sites - 1}")
 
 
-def _coinciding_keep(s: SpectralData, z: complex, weights: np.ndarray):
-    """The coinciding-mode rule: keep-mask of the modes that enter a sum at ``z``.
+def _pair_weights(s: SpectralData, sites) -> np.ndarray:
+    """Pair weights ``<x_i|k><k|x_j>`` over ``sites``, shape (M, M, N): every mode sum's input."""
+    _check_sites(s, *sites)
+    v = s.eigenvectors[list(sites), :]
+    return v[:, None, :] * np.conj(v[None, :, :])
 
-    Only a real ``z`` can coincide with a mode.  Modes within ``POLE_ATOL``
-    of it are dropped when their weight is below ``WEIGHT_TOL``; a coinciding
-    mode with larger weight is a genuine pole and raises.  Returns ``None``
-    when every mode is kept.
+
+def _coinciding_modes(s: SpectralData, sites, z, strict: bool = True):
+    """The coinciding-mode rule of every sum over ``sites``: ``(near, poles)`` at ``z``.
+
+    Only a real point can coincide with a mode, by lying within
+    ``POLE_ATOL`` of its level.  The rule keys a mode on its largest
+    ``|<x|k>|**2`` over ``sites``: a coinciding mode with key below
+    ``WEIGHT_TOL`` cannot couple and is dropped, any other is a genuine pole
+    and raises PoleError if ``strict``.  ``z`` is a scalar or a 1-D array;
+    ``near`` masks the coinciding modes along the last axis (None if there
+    are none) and ``poles`` flags the points with a genuine pole.
     """
-    z = complex(z)
-    if z.imag != 0.0:
-        return None
-    near = np.abs(z.real - s.eigenvalues) < POLE_ATOL
+    z = np.asarray(z, dtype=np.complex128)
+    real = z.imag == 0.0
+    if not real.any():
+        return None, real
+    near = real[..., None] & (np.abs(z.real[..., None] - s.eigenvalues) < POLE_ATOL)
     if not near.any():
-        return None
-    bad = near & (np.abs(weights) >= WEIGHT_TOL)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
+        return None, near.any(axis=-1)
+    key = (np.abs(s.eigenvectors[list(sites), :]) ** 2).max(axis=0)
+    genuine = near & (key >= WEIGHT_TOL)
+    if strict and genuine.any():
+        *point, k = np.argwhere(genuine)[0]
         raise PoleError(
-            f"z={z.real:g} coincides with eigenvalue {s.eigenvalues[k]:.12g}"
-            f" carrying weight {abs(weights[k]):.3e}"
+            f"z={z.real[tuple(point)]:g} coincides with eigenvalue {s.eigenvalues[k]:.12g}"
+            f" carrying weight {key[k]:.3e}"
         )
-    return ~near
+    return near, genuine.any(axis=-1)
 
 
-def _coinciding_poles(s: SpectralData, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Flags the real ``points`` (1-D) at which a sum with ``weights`` has a genuine pole.
+def _gamma_block(s: SpectralData, sites, z: complex, power: int = 1) -> np.ndarray:
+    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over ``sites`` at ``z``.
 
-    The vectorized test of :func:`_coinciding_keep`, without an exception:
-    ``True`` where that rule would raise at the point.
+    One :func:`_kernels.mode_sum` over the modes the coinciding-mode rule
+    keeps; every element of the bath resolvent and its square is an entry
+    of such a block.
     """
-    near = np.abs(points[:, None] - s.eigenvalues) < POLE_ATOL
-    return (near & (np.abs(weights) >= WEIGHT_TOL)).any(axis=-1)
+    weights, energies = _pair_weights(s, sites), s.eigenvalues
+    near, _ = _coinciding_modes(s, sites, z)
+    if near is not None:
+        weights, energies = weights[..., ~near], energies[~near]
+    return _kernels.mode_sum(weights, energies, complex(z), power)
 
 
-def _kept_modes(s: SpectralData, z: complex, weights: np.ndarray, *per_mode):
-    """``weights`` and the ``per_mode`` arrays restricted to the kept modes.
+def _green_columns(s: SpectralData, sites, z) -> np.ndarray:
+    """Columns ``G_B(z)|x_i>``, shape (N, M): one product ``V (conj(V_S)/(z - E))^T``.
 
-    Modes run along the last axis of every array; :func:`_coinciding_keep`
-    decides which of them enter a sum at ``z``.
+    The coinciding-mode rule is the block's.  For one site ``z`` may be a 1-D
+    array of complex points; column ``p`` is then ``G_B(z[p])|x>``.
     """
-    keep = _coinciding_keep(s, z, weights)
-    if keep is None:
-        return (weights, *per_mode)
-    return (weights[keep], *(a[..., keep] for a in per_mode))
+    _check_sites(s, *sites)
+    coeff = np.conj(s.eigenvectors[list(sites), :])
+    energies, vecs = s.eigenvalues, s.eigenvectors
+    near, _ = _coinciding_modes(s, sites, z)
+    if near is not None:
+        coeff, energies, vecs = coeff[:, ~near], energies[~near], vecs[:, ~near]
+    return vecs @ np.ascontiguousarray((coeff / np.subtract.outer(z, energies)).T)
 
 
 def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
-    """Matrix element ``<x| (z - H_B)^-1 |xp>`` as an explicit mode sum.
+    """Matrix element ``<x| (z - H_B)^-1 |xp>``, the entry of the block over ``{x, xp}``.
 
     Raises
     ------
     PoleError
-        For real ``z`` sitting on an eigenvalue whose weight at ``(x, xp)``
-        is not negligible.  Coinciding zero-weight modes are dropped.
+        For real ``z`` sitting on an eigenvalue with weight at ``x`` or
+        ``xp``; coinciding modes of negligible weight at both are dropped.
     """
-    _check_sites(s, x, xp)
-    weights, energies = _kept_modes(s, z, _element_weights(s, x, xp), s.eigenvalues)
-    return _kernels.resolvent_sum(weights, energies, complex(z))
+    return complex(_gamma_block(s, (x,) if x == xp else (x, xp), z)[0, -1])
 
 
 def bath_green_squared_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
     """Matrix element of the squared resolvent, ``<x| (z - H_B)^-2 |xp>``."""
-    _check_sites(s, x, xp)
-    weights, energies = _kept_modes(s, z, _element_weights(s, x, xp), s.eigenvalues)
-    return _kernels.resolvent_sum_squared(weights, energies, complex(z))
+    return complex(_gamma_block(s, (x,) if x == xp else (x, xp), z, 2)[0, -1])
 
 
 def green_column(s: SpectralData, z: complex, x: int) -> np.ndarray:
-    """Vector ``(z - H_B)^-1 |x>``; the coinciding-mode rule keys on ``<x|k>``."""
-    _check_sites(s, x)
-    z = complex(z)
-    coeff, energies, vecs = _kept_modes(
-        s, z, np.conj(s.eigenvectors[x, :]), s.eigenvalues, s.eigenvectors
-    )
-    return vecs @ (coeff / (z - energies))
+    """Vector ``(z - H_B)^-1 |x>``."""
+    return _green_columns(s, (x,), complex(z))[:, 0]
 
 
 def green_row(s: SpectralData, z: complex, x: int) -> np.ndarray:
-    """Row vector ``<x| (z - H_B)^-1``; equals the column only for symmetric baths."""
-    _check_sites(s, x)
-    z = complex(z)
-    coeff, energies, vecs = _kept_modes(s, z, s.eigenvectors[x, :], s.eigenvalues, s.eigenvectors)
-    return (coeff / (z - energies)) @ np.conj(vecs.T)
+    """Row vector ``<x| (z - H_B)^-1``, the conjugate of the column at conj(z)."""
+    return np.conj(_green_columns(s, (x,), complex(z).conjugate())[:, 0])
 
 
 def green_matrix(s: SpectralData, z: complex) -> np.ndarray:
     """Full bath resolvent matrix ``(z - H_B)^-1``."""
     z = complex(z)
-    # unit weights: every coinciding mode is a pole of the full matrix
-    _coinciding_keep(s, z, np.ones(s.n_sites))
+    # over every site, each coinciding mode is a pole of the full matrix
+    _coinciding_modes(s, range(s.n_sites), z)
     return _spectral_sum(s.eigenvectors, s.eigenvalues, z)
 
 

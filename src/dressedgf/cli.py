@@ -122,7 +122,7 @@ class RunConfig:
             raise ConfigError("config bath: must be an object")
         if "builder" in section:
             name = section["builder"]
-            if name not in _BUILDERS:
+            if not isinstance(name, str) or name not in _BUILDERS:
                 raise ConfigError(f"config bath: unknown builder '{name}'")
             build, size, numbers = _BUILDERS[name]
             _reject_unknown(section, {"builder", size, *numbers}, "config bath")
@@ -339,7 +339,9 @@ def cmd_effective(cfg: RunConfig, out: Path) -> int:
         d = ham.decomposition
         payload["decomposition"] = {
             "lambda_s": d.lambda_s, "lambda_a": d.lambda_a,
-            "omega_1": d.omega_1, "omega_2": d.omega_2,
+            # Omega_i is NaN, written as null, where the shifted center is unresolved
+            "omega_1": None if np.isnan(d.omega_1) else d.omega_1,
+            "omega_2": None if np.isnan(d.omega_2) else d.omega_2,
             "beta_plus": d.beta_plus, "beta_minus": d.beta_minus,
             "asymmetry": d.asymmetry, "splitting": d.splitting,
             "shifted_center": d.shifted_center,

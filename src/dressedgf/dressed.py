@@ -231,7 +231,7 @@ def solve_dressed_bound_states(
         max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
         split=e.omega0,
     )
-    roots = _contact_roots(s, e.site, *e.contact, intervals, n_grid, xtol)
+    roots = _contact_roots(s, (e.site,), *e.contact, intervals, n_grid, xtol)
     vds = _vds_candidate(s, e)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
         roots = sorted(roots + [vds])

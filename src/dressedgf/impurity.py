@@ -6,8 +6,11 @@ results come from the rank-one update of the bare resolvent by a contact at
 here, ``f = -<site|G_B|site>`` in the vacancy (infinite-strength) limit.  An
 emitter is the same contact with an energy-dependent strength, M emitters a
 contact on M sites S with the pole matrix F(z) = (slope*z + offset) -
-Gamma_S(z).  :mod:`dressedgf.dressed` and :mod:`dressedgf.multi` wrap the four
-contact pieces here: the Gamma_S block, F, the resolvent and the bound states.
+Gamma_S(z).  :mod:`dressedgf.dressed` and :mod:`dressedgf.multi` wrap the
+contact pieces here: F, the resolvent, the bound states, the scattering
+states and the one root-finder entry :func:`_contact_roots`.  They take every
+bath Green function from the dense backend of :mod:`dressedgf.bath`: the
+Gamma_S block, the columns G_B|x> and the pair weights.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _roots
+from . import _kernels, _roots
 from .bath import (
     BandStructure,
     SpectralData,
-    _check_sites,
-    _coinciding_keep,
-    _coinciding_poles,
-    _element_weights,
+    _coinciding_modes,
+    _gamma_block,
+    _green_columns,
+    _pair_weights,
     bath_green_element,
     default_delta,
     detect_bands,
@@ -101,23 +104,6 @@ def impurity_pole_function(s: SpectralData, spec: ImpuritySpec, z: complex) -> c
     return 1.0 / spec.strength - bath_green_element(s, z, spec.site, spec.site)
 
 
-def _gamma_block(s: SpectralData, sites, z: complex, power: int = 1) -> np.ndarray:
-    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over ``sites`` at ``z``, from pair weights.
-
-    The coinciding-mode rule keys once on each mode's largest diagonal weight:
-    as ``|v_i v_j| <= max(|v_i|**2, |v_j|**2)`` the block raises and drops
-    modes where its elements would, and each entry has their bits.
-    """
-    _check_sites(s, *sites)
-    v = s.eigenvectors[list(sites), :]
-    weights = v[:, None, :] * np.conj(v[None, :, :])
-    keep = _coinciding_keep(s, z, np.abs(np.diagonal(weights)).max(axis=-1))
-    energies = s.eigenvalues
-    if keep is not None:
-        weights, energies = weights[..., keep], energies[keep]
-    return _roots._gamma(weights, energies, complex(z), power)
-
-
 def _contact_f(slope, offset, z, gamma):
     """Contact pole function ``slope*z + offset - gamma`` at a scalar or an array ``z``.
 
@@ -170,21 +156,10 @@ def _contact_resolvent(s: SpectralData, sites, z: complex, contact, what: str,
 
 
 def _contact_kets(s: SpectralData, sites, w: complex, amplitude=None) -> np.ndarray:
-    """Kets ``G_B(w)|x_i>``: the columns of one product ``V (conj(V_S)/(w - E))^T``.
-
-    The coinciding-mode rule is :func:`green_column`'s for all sites at once:
-    a mode raises when any site's ``|<x|k>|`` would.  ``amplitude`` adds the
-    emitter sector of :func:`_contact_resolvent`.
-    """
-    _check_sites(s, *sites)
-    coeff = np.conj(s.eigenvectors[list(sites), :])
-    energies, vecs = s.eigenvalues, s.eigenvectors
-    keep = _coinciding_keep(s, w, np.abs(coeff).max(axis=0))
-    if keep is not None:
-        coeff, energies, vecs = coeff[:, keep], energies[keep], vecs[:, keep]
+    """Kets ``G_B(w)|x_i>``, the bath's columns; ``amplitude`` adds the emitter sector."""
     e = 0 if amplitude is None else len(sites)
     kets = np.zeros((e + s.n_sites, len(sites)), dtype=np.complex128)
-    kets[e:] = vecs @ np.ascontiguousarray((coeff / (complex(w) - energies)).T)
+    kets[e:] = _green_columns(s, sites, complex(w))
     if e:
         kets[range(e), range(e)] = amplitude
     return kets
@@ -199,8 +174,6 @@ def _contact_states(s: SpectralData, sites, w: float, null, amplitude=None):
     ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
     Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
-    # the Gamma_S^2 sum's key |<x|k>|**2 first, so a coinciding mode's message keeps it
-    _coinciding_keep(s, w, np.abs(s.eigenvectors[list(sites), :]).max(axis=0) ** 2)
     psi = _contact_kets(s, sites, w, amplitude) @ null
     try:
         chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
@@ -224,23 +197,21 @@ def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slo
     Yields ``(ks, omega, regular, coupling, vectors)`` per chunk of at most
     ``SCATTER_CHUNK`` modes, with ``vectors[:, i]`` the state on mode
     ``ks[i]``; the coupling of an untouched mode is 0.  Within a chunk f(z)
-    is one row sum per mode and the columns ``G_B(z)|site>`` one product
-    ``V C``; a chunk of one mode gives the bits of :func:`green_column`.
+    is one row sum of the mode-sum kernel per mode and the columns
+    ``G_B(z)|site>`` one product of the bath's column backend.
     """
     ks = np.asarray(k_indices, dtype=np.intp).reshape(-1)
     out_of_range = (ks < 0) | (ks >= s.n_sites)
     if out_of_range.any():
         raise ValueError(f"k_index {ks[out_of_range][0]} out of range")
-    _check_sites(s, site)
+    weights = _pair_weights(s, (site,))
     if delta == 0.0:
         raise ValueError("delta must be nonzero: the regular branch is taken off the real axis")
     vecs, energies = s.eigenvectors, s.eigenvalues
-    weights = _element_weights(s, site, site)
-    coeff = np.conj(vecs[site, :])
     for start in range(0, ks.size, SCATTER_CHUNK):
         kc = ks[start:start + SCATTER_CHUNK]
         omega = energies[kc]
-        regular = _coinciding_poles(s, omega, weights)
+        regular = _coinciding_modes(s, (site,), omega, strict=False)[1]
         # the rare mode with no coinciding pole (a node at the site) needs f
         # at its real energy, over the modes the coinciding-mode rule keeps
         for i in np.flatnonzero(~regular):
@@ -248,23 +219,23 @@ def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slo
             f_real = _contact_f(slope, offset, w, bath_green_element(s, w, site, site))
             regular[i] = not abs(f_real) < node_tol
         z = omega + 1j * delta
-        denom = np.subtract.outer(z, energies)
-        f = _contact_f(slope, offset, z, np.sum(weights / denom, axis=1))
+        f = _contact_f(slope, offset, z, _kernels.mode_sum(weights, energies, z)[:, 0, 0])
         coupling = np.zeros(kc.size, dtype=np.complex128)
         np.divide(vecs[site, kc], f, out=coupling, where=regular)
         # coupling on the left: numpy's complex product is not bit-symmetric
-        states = vecs[:, kc] + coupling * (vecs @ np.ascontiguousarray((coeff / denom).T))
+        states = vecs[:, kc] + coupling * _green_columns(s, (site,), z)
         states[:, ~regular] = vecs[:, kc[~regular]]
         yield kc, omega, regular, coupling, states
 
 
-def _contact_roots(s: SpectralData, site: int, slope, offset, intervals, n_grid, xtol):
-    """Roots of ``slope*w + offset - <site|G_B(w)|site>`` on ``intervals``."""
-    _check_sites(s, site)
-    weights = np.abs(s.eigenvectors[site, :]) ** 2
-    keep = weights > 1e-24
+def _contact_roots(s: SpectralData, sites, slope, offset, intervals, n_grid, xtol):
+    """Roots of the M branches of ``F(w) = (slope*w + offset) - Gamma_S(w)`` on ``intervals``.
+
+    The one root-finder entry of every contact: :func:`_roots.contact_roots`
+    on the block's pair weights over ``sites``.
+    """
     return _roots.contact_roots(
-        weights[keep][None, None], s.eigenvalues[keep], slope, offset, intervals, n_grid, xtol
+        _pair_weights(s, sites), s.eigenvalues, slope, offset, intervals, n_grid, xtol
     )
 
 
@@ -323,7 +294,7 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
     states = []
-    for w in _contact_roots(s, spec.site, slope, offset, intervals, n_grid, xtol):
+    for w in _contact_roots(s, (spec.site,), slope, offset, intervals, n_grid, xtol):
         built = _contact_states(s, (spec.site,), w, np.ones((1, 1)))
         if built is None:
             continue

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _roots
-from .bath import BandStructure, SpectralData, _check_sites, detect_bands
+from .bath import BandStructure, SpectralData, _gamma_block, detect_bands
 from .errors import PoleError, RegimeError
 from .impurity import (
     POLE_TOL,
     _contact_kets,
     _contact_resolvent,
+    _contact_roots,
     _contact_states,
-    _gamma_block,
     _pole_matrix,
 )
 
@@ -105,7 +105,11 @@ class TwoAtomPoles:
 
 @dataclass(frozen=True, eq=False)
 class TwoAtomDecomposition:
-    """Raw pieces of the symmetric/antisymmetric split of the two-atom model."""
+    """Raw pieces of the symmetric/antisymmetric split of the two-atom model.
+
+    ``omega_1`` and ``omega_2`` divide by the shifted center; they are NaN
+    where the center is not resolved above its rounding.
+    """
 
     lambda_s: float
     lambda_a: float
@@ -235,19 +239,14 @@ def det_f_roots(
     reliable even when two roots almost coincide (they then sit on different
     branches).
     """
-    _check_sites(s, *arr.sites)
     if bands is None:
         bands = detect_bands(s)
-    v = s.eigenvectors[list(arr.sites), :]
     intervals = _roots.gap_intervals(
         bands,
         min(arr.omega0, float(s.eigenvalues[0])) - arr.g - 1.0,
         max(arr.omega0, float(s.eigenvalues[-1])) + arr.g + 1.0,
     )
-    return _roots.contact_roots(
-        v[:, None, :] * np.conj(v[None, :, :]), s.eigenvalues, *arr.contact, intervals,
-        n_grid, xtol,
-    )
+    return _contact_roots(s, arr.sites, *arr.contact, intervals, n_grid, xtol)
 
 
 def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.ndarray:
@@ -391,6 +390,11 @@ def effective_hamiltonian_two(
     asym = float(np.real(fdata.asymmetry))
     split = float(np.real(fdata.splitting))
     center = float(np.real(fdata.shifted_center))
+    # the center's rounding: omega0 plus g**2 times N mode sums, each term of
+    # which Cauchy-Schwarz bounds by sqrt(<x|G_B^2|x>) = sqrt(n_i - 1/g**2)
+    center_tol = s.n_sites * np.finfo(float).eps * (
+        abs(arr.omega0) + g2 * math.sqrt(max(n1, n2, arr.contact[0]) - arr.contact[0])
+    )
     beta_p = asym * (n1 - n2) + split * (n1 + n2)
     beta_m = asym * (n1 - n2) - split * (n1 + n2)
     omega_bs = (arr.omega0 - g2 * np.real(fm[0, 0]), arr.omega0 - g2 * np.real(fm[1, 1]))
@@ -401,8 +405,10 @@ def effective_hamiltonian_two(
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_s = float(-2.0 * np.float64(split) ** 2 * (n1 + n2) / bb)
         lam_a = float(2.0 * np.float64(center) * asym * (n1 - n2) / bb)
-        omega_1 = float(np.float64(split) ** 2 / np.float64(center) + asym)
-        omega_2 = float(np.float64(split) ** 2 / np.float64(center) - asym)
+        omega_1 = omega_2 = math.nan
+        if abs(center) > center_tol:
+            omega_1 = float(np.float64(split) ** 2 / np.float64(center) + asym)
+            omega_2 = float(np.float64(split) ** 2 / np.float64(center) - asym)
         # H_a diagonal entries via the product lam_a * Omega_i, which stays
         # finite even when the shifted center crosses zero.
         ha_diag = (

@@ -173,6 +173,21 @@ def test_effective_json_and_g_sweep(tmp_path):
     assert float(rows[0][1]) < float(rows[1][1])
 
 
+def test_effective_writes_undefined_omegas_as_null(tmp_path):
+    # emitters at omega_c of the topological chain: the shifted center is
+    # rounding noise, so Omega_1 and Omega_2 are undefined
+    cfg = _write_config(tmp_path, "run.json", {
+        "bath": {"builder": "ssh", "n_cells": 100, "omega_c": 0.0, "j1": 0.5, "j2": 1.0},
+        "emitters": [{"omega0": 0.0, "g": 0.1, "site": 99},
+                     {"omega0": 0.0, "g": 0.1, "site": 102}],
+    })
+    assert cli.main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "effective.json").read_text()
+    assert "NaN" not in text
+    payload = json.loads(text)["decomposition"]
+    assert payload["omega_1"] is None and payload["omega_2"] is None
+
+
 def test_effective_solves_each_full_hamiltonian_once(tmp_path, monkeypatch):
     n, m = 60, 2
     cfg = _write_config(tmp_path, "run.json", {
@@ -322,6 +337,31 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, extra, k
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "finite" in err
+
+
+_HUGE = 10 ** 400  # a valid JSON integer beyond float range
+UNREADABLE_NUMBER_CONFIGS = [
+    ("spectrum", {"bath": {"builder": "chain", "n_sites": 8, "omega_c": _HUGE, "j": 1.0}},
+     "'omega_c'"),
+    ("spectrum", {"bath": {"n_sites": 2, "frequencies": [0.0, _HUGE],
+                           "hoppings": [[0, 1, 1.0, 0.0]]}}, "frequencies"),
+    ("spectrum", {"bath": {"builder": ["chain"], "n_sites": 8, "omega_c": 0.0, "j": 1.0}},
+     "unknown builder"),
+    ("spectrum", {"bath": {"n_sites": 2, "frequencies": 0.0,
+                           "hoppings": [[0, 1, _HUGE, 0.0]]}}, "hoppings[0]"),
+    ("bound-states", {"emitters": [{"omega0": _HUGE, "g": 0.3, "site": 3}]}, "'omega0'"),
+]
+
+
+@pytest.mark.parametrize("command,extra,key", UNREADABLE_NUMBER_CONFIGS,
+                         ids=["omega_c-huge", "frequencies-huge", "builder-list", "hopping-huge",
+                              "omega0-huge"])
+def test_unreadable_number_or_builder_is_a_config_error(tmp_path, capsys, command, extra, key):
+    # ROADMAP 3(vi): these ended in an OverflowError or TypeError traceback
+    cfg = _write_config(tmp_path, "run.json", {**_chain20_emitters((3, 0.3)), **extra})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--tol"])

@@ -23,7 +23,7 @@ from dressedgf import (
     solve_impurity_bound_state,
     vacancy_green,
 )
-from dressedgf import impurity
+from dressedgf import _kernels, bath, impurity
 
 from conftest import fidelity, random_bath_spec, random_gapped_bath, random_z
 
@@ -296,7 +296,7 @@ def test_gamma_block_is_bit_equal_to_its_elements(m):
         # complex z, real z outside the spectrum and real z between two levels
         for z in (random_z(rng, s), float(ev[-1]) + 0.3, 0.5 * float(ev[7] + ev[8])):
             for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
-                block = impurity._gamma_block(s, sites, z, power)
+                block = bath._gamma_block(s, sites, z, power)
                 assert block.tobytes() == _elementwise(element, s, sites, z).tobytes()
 
 
@@ -312,17 +312,72 @@ def test_gamma_block_and_kets_raise_and_drop_modes_as_their_elements():
             except PoleError:
                 outcomes.add("raise")
                 with pytest.raises(PoleError, match="coincides with eigenvalue"):
-                    impurity._gamma_block(s, sites, w, power)
+                    bath._gamma_block(s, sites, w, power)
             else:
                 outcomes.add("drop")
-                assert impurity._gamma_block(s, sites, w, power).tobytes() == ref.tobytes()
-        # the kets follow green_column: a mode raises when any site's |<x|k>| would
+                assert bath._gamma_block(s, sites, w, power).tobytes() == ref.tobytes()
+        # the columns follow green_column: a mode raises when any site's |<x|k>|**2 would
         try:
             columns = np.array([green_column(s, w, x) for x in sites]).T
         except PoleError:
             with pytest.raises(PoleError, match="coincides with eigenvalue"):
-                impurity._contact_kets(s, sites, w)
+                bath._green_columns(s, sites, w)
         else:
-            np.testing.assert_allclose(impurity._contact_kets(s, sites, w), columns,
+            np.testing.assert_allclose(bath._green_columns(s, sites, w), columns,
                                        rtol=0, atol=1e-14)
     assert outcomes == {"raise", "drop"}
+
+
+def _chain_with_side_level(t):
+    """Chain of 40 sites plus a level at 3.0 hopping ``t`` to site 0."""
+    chain = build_uniform_chain(40, 0.0, 1.0)
+    return BathSpec(n_sites=41, frequencies=chain.frequencies + (3.0,),
+                    hoppings=chain.hoppings + ((40, 0, t),))
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-7])
+def test_weak_mode_is_dropped_by_every_sum_alike(t):
+    # ROADMAP 3(v): |<0|k>| is above WEIGHT_TOL but |<0|k>|**2 is below it, so
+    # the one key drops the mode from elements, blocks, columns and kets alike
+    s = diagonalize_bath(_chain_with_side_level(t))
+    k = int(np.argmin(np.abs(s.eigenvalues - 3.0)))
+    w = float(s.eigenvalues[k])
+    assert abs(s.eigenvectors[0, k]) >= 1e-12 > abs(s.eigenvectors[0, k]) ** 2
+    others = np.arange(s.n_sites) != k
+    v, ev = s.eigenvectors[:, others], s.eigenvalues[others]
+    column = v @ (np.conj(v[0]) / (w - ev))
+    gamma = np.sum(np.abs(v[0]) ** 2 / (w - ev))
+    gamma_sq = np.sum(np.abs(v[0]) ** 2 / (w - ev) ** 2)
+    assert abs(bath_green_element(s, w, 0, 0) - gamma) < 1e-12
+    assert abs(bath_green_squared_element(s, w, 0, 0) - gamma_sq) < 1e-12 * abs(gamma_sq)
+    assert abs(bath._gamma_block(s, (0,), w)[0, 0] - gamma) < 1e-12
+    np.testing.assert_allclose(green_column(s, w, 0), column, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(impurity._contact_kets(s, (0,), w)[:, 0], column,
+                               rtol=0, atol=1e-12)
+
+
+def test_every_bath_sum_reaches_the_one_kernel(monkeypatch):
+    s = diagonalize_bath(build_ssh_chain(8, 0.0, 0.5, 1.0))
+    calls = []
+    kernel = _kernels.mode_sum
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "mode_sum", counting)
+    entries = {
+        "bath_green_element": lambda: bath_green_element(s, 0.3 + 0.1j, 2, 5),
+        "bath_green_squared_element": lambda: bath_green_squared_element(s, 2.5, 3, 3),
+        "_gamma_block": lambda: bath._gamma_block(s, (1, 4, 6), 2.5j),
+        "_contact_roots": lambda: impurity._contact_roots(
+            s, (3,), 0.0, 1.0, [(2.0, 5.0, True, False)], 16, 1e-12),
+        "_contact_scattering": lambda: list(impurity._contact_scattering(
+            s, 3, [0, 5], 1e-8, 0.0, 1.0, impurity.NODE_TOL)),
+    }
+    reached = {}
+    for name, call in entries.items():
+        calls.clear()
+        call()
+        reached[name] = len(calls) > 0
+    assert reached == dict.fromkeys(entries, True)

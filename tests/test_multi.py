@@ -33,7 +33,7 @@ from dressedgf import (
     t_matrix_series_green,
 )
 import dressedgf
-from dressedgf import impurity, multi
+from dressedgf import bath, impurity, multi
 
 from conftest import random_bath_spec, random_gapped_bath, random_z
 
@@ -302,7 +302,7 @@ def test_t_matrix_series_builds_gamma_block_once(monkeypatch):
     _, s, _ = random_gapped_bath(rng, 4, 4)
     arr = _pair(0.1, 0.5, 1, 5)
     calls = []
-    block = impurity._gamma_block
+    block = bath._gamma_block
 
     def counting(*args):
         calls.append(args)
@@ -310,6 +310,7 @@ def test_t_matrix_series_builds_gamma_block_once(monkeypatch):
 
     # the whole M x M block is one call, counted wherever it is built: the
     # series holds it and the contact resolvent builds none of its own
+    monkeypatch.setattr(bath, "_gamma_block", counting)
     monkeypatch.setattr(multi, "_gamma_block", counting)
     monkeypatch.setattr(impurity, "_gamma_block", counting)
     t_matrix_series_green(s, arr, 0.1 + 2.5j)
@@ -585,6 +586,21 @@ def test_effective_two_decomposition_identity():
         scale = max(np.max(np.abs(lhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
         np.testing.assert_allclose(ham.matrix, lhs, atol=0)
+
+
+def test_effective_two_unresolved_center_leaves_omegas_undefined():
+    # ROADMAP 6: at omega_c of the topological chain the shifted center is
+    # rounding noise (~1e-17), and Omega_i = split**2/center + -asym read -3e12
+    s = diagonalize_bath(build_ssh_chain(100, 0.0, 0.5, 1.0))
+    dec = effective_hamiltonian_two(s, _pair(0.0, 0.1, 99, 102)).decomposition
+    assert abs(dec.shifted_center) < 1e-15
+    assert math.isnan(dec.omega_1) and math.isnan(dec.omega_2)
+    # a resolved center keeps its Omega_i
+    s = diagonalize_bath(build_uniform_chain(40, 0.0, 1.0))
+    dec = effective_hamiltonian_two(s, _pair(2.5, 0.15, 1, 6)).decomposition
+    assert dec.shifted_center > 2.0
+    assert dec.omega_1 == dec.splitting ** 2 / dec.shifted_center + dec.asymmetry
+    assert dec.omega_2 == dec.splitting ** 2 / dec.shifted_center - dec.asymmetry
 
 
 def test_effective_two_degenerate_beta_falls_back():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from dressedgf import _roots
+from dressedgf import _kernels, _roots
 from dressedgf.bath import BandStructure
 
 INF = math.inf
@@ -112,7 +112,10 @@ def test_gamma_grid_matches_loop():
     weights = rng.normal(size=25) + 1j * rng.normal(size=25)
     energies = np.sort(rng.uniform(-2.0, 2.0, 25))
     grid = np.linspace(2.5, 4.0, 101)
-    got = _roots._gamma(weights[None, None], energies, grid)[:, 0, 0]
+    # a 2 x 2 block: on a real grid the kernel sums a 1 x 1 block in real arithmetic
+    pair = np.zeros((2, 2, 25), dtype=np.complex128)
+    pair[0, 1] = weights
+    got = _kernels.mode_sum(pair, energies, grid)[:, 0, 1]
     ref = np.array([_loop_sum(weights, energies, z) for z in grid])
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
