@@ -7,6 +7,8 @@ root finder's grid scans all call :func:`mode_sum` on the pair weights
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 # Reported by the benchmark's environment line; the kernel is plain numpy
@@ -18,18 +20,18 @@ def mode_sum(weights, energies, w, power: int = 1) -> np.ndarray:
     """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) at ``w``, one mode sum per site pair.
 
     ``weights[i, j, k] = <x_i|k><k|x_j>``, so ``out[..., i, j] = sum_k
-    weights[i, j, k] / (w - energies[k])**power``.  ``w`` is a scalar or a 1-D
-    grid; the two site indices come last.  A 1 x 1 block at a real ``w`` is
-    summed in real arithmetic; otherwise every weight enters as given.
+    weights[i, j, k] / (w - energies[k])**power``; a 1-D ``weights`` is one
+    pair, summed alone.  ``w`` is a scalar or a 1-D grid; the site indices
+    come last.  A 1 x 1 block at a real ``w`` is summed in real arithmetic;
+    otherwise every weight enters as given.
     """
     d = np.subtract.outer(w, energies)
     if power == 2:
         d = d * d
-    m = weights.shape[0]
-    if m == 1 and np.isrealobj(d):
+    pairs = weights.shape[:-1]
+    if pairs == (1, 1) and np.isrealobj(d):
         weights = weights.real
-    out = np.empty(d.shape[:-1] + (m, m), dtype=np.result_type(weights, d))
-    for i in range(m):
-        for j in range(m):
-            out[..., i, j] = np.sum(weights[i, j] / d, axis=-1)
+    out = np.empty(d.shape[:-1] + pairs, dtype=np.result_type(weights, d))
+    for ij in product(*map(range, pairs)):
+        out[(..., *ij)] = np.sum(weights[ij] / d, axis=-1)
     return out

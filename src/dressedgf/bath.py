@@ -305,75 +305,111 @@ def _fix_phases(evecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_sites(s: SpectralData, *sites: int) -> None:
-    for x in sites:
-        if not (0 <= x < s.n_sites):
-            raise ValueError(f"site {x} out of range 0..{s.n_sites - 1}")
+@dataclass(frozen=True, eq=False)
+class Contact:
+    """The contact engine's one input: a bath, the contact sites and F's shape.
+
+    Impurity, vacancy, one emitter and M emitters all act on the bath
+    through ``sites`` with the pole matrix F(z) = (slope*z + offset) -
+    Gamma_S(z); an emitter contact carries ``amplitude`` 1/g on its emitter
+    sector, an impurity None.  The sites are checked once, here.  The rows
+    V_S, the pair weights and the coinciding-mode key are built once, when
+    first used, so a rule over every site never builds N x N x N weights.
+    """
+
+    bath: SpectralData
+    sites: tuple
+    slope: float = 0.0
+    offset: float = 0.0
+    amplitude: float | None = None
+
+    def __post_init__(self):
+        for x in self.sites:
+            if not (0 <= x < self.bath.n_sites):
+                raise ValueError(f"site {x} out of range 0..{self.bath.n_sites - 1}")
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """V_S, the mode amplitudes ``<x_i|k>`` on the sites, shape (M, N)."""
+        return self.bath.eigenvectors[list(self.sites), :]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Pair weights ``<x_i|k><k|x_j>``, shape (M, M, N): every block's mode-sum input."""
+        v = self.rows
+        return v[:, None, :] * np.conj(v[None, :, :])
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        """The coinciding-mode key: each mode's largest ``|<x|k>|**2`` over the sites."""
+        return (np.abs(self.rows) ** 2).max(axis=0)
 
 
-def _pair_weights(s: SpectralData, sites) -> np.ndarray:
-    """Pair weights ``<x_i|k><k|x_j>`` over ``sites``, shape (M, M, N): every mode sum's input."""
-    _check_sites(s, *sites)
-    v = s.eigenvectors[list(sites), :]
-    return v[:, None, :] * np.conj(v[None, :, :])
-
-
-def _coinciding_modes(s: SpectralData, sites, z, strict: bool = True):
-    """The coinciding-mode rule of every sum over ``sites``: ``(near, poles)`` at ``z``.
+def _coinciding_modes(c: Contact, z, strict: bool = True):
+    """The coinciding-mode rule of every sum over the contact: ``(weak, poles)`` at ``z``.
 
     Only a real point can coincide with a mode, by lying within
-    ``POLE_ATOL`` of its level.  The rule keys a mode on its largest
-    ``|<x|k>|**2`` over ``sites``: a coinciding mode with key below
-    ``WEIGHT_TOL`` cannot couple and is dropped, any other is a genuine pole
-    and raises PoleError if ``strict``.  ``z`` is a scalar or a 1-D array;
-    ``near`` masks the coinciding modes along the last axis (None if there
-    are none) and ``poles`` flags the points with a genuine pole.
+    ``POLE_ATOL`` of its level.  The rule keys a mode on ``c.key``: a
+    coinciding mode with key below ``WEIGHT_TOL`` cannot couple and is
+    dropped, any other is a genuine pole and raises PoleError if ``strict``.
+    ``z`` is a scalar or a 1-D array; ``weak`` masks the dropped modes along
+    the last axis (None if there are none) and ``poles`` flags the points
+    with a genuine pole.
     """
     z = np.asarray(z, dtype=np.complex128)
     real = z.imag == 0.0
     if not real.any():
         return None, real
-    near = real[..., None] & (np.abs(z.real[..., None] - s.eigenvalues) < POLE_ATOL)
+    levels = c.bath.eigenvalues
+    near = real[..., None] & (np.abs(z.real[..., None] - levels) < POLE_ATOL)
     if not near.any():
         return None, near.any(axis=-1)
-    key = (np.abs(s.eigenvectors[list(sites), :]) ** 2).max(axis=0)
-    genuine = near & (key >= WEIGHT_TOL)
+    genuine = near & (c.key >= WEIGHT_TOL)
     if strict and genuine.any():
         *point, k = np.argwhere(genuine)[0]
         raise PoleError(
-            f"z={z.real[tuple(point)]:g} coincides with eigenvalue {s.eigenvalues[k]:.12g}"
-            f" carrying weight {key[k]:.3e}"
+            f"z={z.real[tuple(point)]:g} coincides with eigenvalue {levels[k]:.12g}"
+            f" carrying weight {c.key[k]:.3e}"
         )
-    return near, genuine.any(axis=-1)
+    weak = near & ~genuine
+    return (weak if weak.any() else None), genuine.any(axis=-1)
 
 
-def _gamma_block(s: SpectralData, sites, z: complex, power: int = 1) -> np.ndarray:
-    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over ``sites`` at ``z``.
+def _gamma_block(c: Contact, z: complex, power: int = 1, weights=None) -> np.ndarray:
+    """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over the contact sites at ``z``.
 
     One :func:`_kernels.mode_sum` over the modes the coinciding-mode rule
-    keeps; every element of the bath resolvent and its square is an entry
-    of such a block.
+    keeps.  ``weights`` replaces the block's pair weights, e.g. by the one
+    pair of an off-diagonal element; the rule stays the contact's.
     """
-    weights, energies = _pair_weights(s, sites), s.eigenvalues
-    near, _ = _coinciding_modes(s, sites, z)
-    if near is not None:
-        weights, energies = weights[..., ~near], energies[~near]
+    weights = c.weights if weights is None else weights
+    energies = c.bath.eigenvalues
+    weak, _ = _coinciding_modes(c, z)
+    if weak is not None:
+        weights, energies = weights[..., ~weak], energies[~weak]
     return _kernels.mode_sum(weights, energies, complex(z), power)
 
 
-def _green_columns(s: SpectralData, sites, z) -> np.ndarray:
+def _green_columns(c: Contact, z, strict: bool = True) -> np.ndarray:
     """Columns ``G_B(z)|x_i>``, shape (N, M): one product ``V (conj(V_S)/(z - E))^T``.
 
-    The coinciding-mode rule is the block's.  For one site ``z`` may be a 1-D
-    array of complex points; column ``p`` is then ``G_B(z[p])|x>``.
+    The coinciding-mode rule is the block's; with ``strict`` off a genuine
+    pole stays in the sum.  For one site ``z`` may be a 1-D array of complex
+    points; column ``p`` is then ``G_B(z[p])|x>``.
     """
-    _check_sites(s, *sites)
-    coeff = np.conj(s.eigenvectors[list(sites), :])
-    energies, vecs = s.eigenvalues, s.eigenvectors
-    near, _ = _coinciding_modes(s, sites, z)
-    if near is not None:
-        coeff, energies, vecs = coeff[:, ~near], energies[~near], vecs[:, ~near]
+    coeff, energies, vecs = np.conj(c.rows), c.bath.eigenvalues, c.bath.eigenvectors
+    weak, _ = _coinciding_modes(c, z, strict)
+    if weak is not None:
+        coeff, energies, vecs = coeff[:, ~weak], energies[~weak], vecs[:, ~weak]
     return vecs @ np.ascontiguousarray((coeff / np.subtract.outer(z, energies)).T)
+
+
+def _element(s: SpectralData, z: complex, x: int, xp: int, power: int) -> complex:
+    """Entry ``(x, xp)`` of the block over ``{x, xp}``, summing only its own pair weight."""
+    if x == xp:
+        return complex(_gamma_block(Contact(s, (x,)), z, power)[0, 0])
+    c = Contact(s, (x, xp))
+    return complex(_gamma_block(c, z, power, c.rows[0] * np.conj(c.rows[1])))
 
 
 def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
@@ -385,29 +421,29 @@ def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
         For real ``z`` sitting on an eigenvalue with weight at ``x`` or
         ``xp``; coinciding modes of negligible weight at both are dropped.
     """
-    return complex(_gamma_block(s, (x,) if x == xp else (x, xp), z)[0, -1])
+    return _element(s, z, x, xp, 1)
 
 
 def bath_green_squared_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
     """Matrix element of the squared resolvent, ``<x| (z - H_B)^-2 |xp>``."""
-    return complex(_gamma_block(s, (x,) if x == xp else (x, xp), z, 2)[0, -1])
+    return _element(s, z, x, xp, 2)
 
 
 def green_column(s: SpectralData, z: complex, x: int) -> np.ndarray:
     """Vector ``(z - H_B)^-1 |x>``."""
-    return _green_columns(s, (x,), complex(z))[:, 0]
+    return _green_columns(Contact(s, (x,)), complex(z))[:, 0]
 
 
 def green_row(s: SpectralData, z: complex, x: int) -> np.ndarray:
     """Row vector ``<x| (z - H_B)^-1``, the conjugate of the column at conj(z)."""
-    return np.conj(_green_columns(s, (x,), complex(z).conjugate())[:, 0])
+    return np.conj(_green_columns(Contact(s, (x,)), complex(z).conjugate())[:, 0])
 
 
 def green_matrix(s: SpectralData, z: complex) -> np.ndarray:
     """Full bath resolvent matrix ``(z - H_B)^-1``."""
     z = complex(z)
     # over every site, each coinciding mode is a pole of the full matrix
-    _coinciding_modes(s, range(s.n_sites), z)
+    _coinciding_modes(Contact(s, range(s.n_sites)), z)
     return _spectral_sum(s.eigenvectors, s.eigenvalues, z)
 
 

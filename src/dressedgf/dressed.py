@@ -13,14 +13,16 @@ Vectors over the coupled space are ordered ``[e, x_0 .. x_{N-1}]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _roots
 from .bath import (
     BandStructure,
+    Contact,
     SpectralData,
+    _gamma_block,
     bath_green_element,
     default_delta,
     detect_bands,
@@ -59,6 +61,9 @@ class EmitterSpec:
         """``(slope, offset)`` of F(z) = slope*z + offset - gamma: 1/g**2 and -omega0/g**2."""
         g2 = self.g ** 2
         return 1.0 / g2, -self.omega0 / g2
+
+    def _contact(self, s: SpectralData) -> Contact:
+        return Contact(s, (self.site,), *self.contact, 1.0 / self.g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +145,7 @@ def pole_function_F(s: SpectralData, e: EmitterSpec, z: complex) -> complex:
     root finder and the scattering core use.
     """
     gamma = bath_green_element(s, z, e.site, e.site)
-    return complex(_contact_f(*e.contact, complex(z), gamma))
+    return complex(_contact_f(e._contact(s), complex(z), gamma))
 
 
 def dressed_state_function(s: SpectralData, e: EmitterSpec, z: complex) -> DressedStateFunction:
@@ -161,7 +166,7 @@ def dressed_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     ``(1/g)<e| + <site|G_B(z)`` over F(z).  For complex z the row partner is
     not the conjugate of the ket; it is what keeps (z - H)G = 1.
     """
-    return _contact_resolvent(s, (e.site,), z, e.contact, "dressed", 1.0 / e.g)[0]
+    return _contact_resolvent(e._contact(s), z, "dressed")[0]
 
 
 def excitonic_green(s: SpectralData, e: EmitterSpec, z: complex) -> complex:
@@ -178,22 +183,22 @@ def field_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     Identical to the photonic block of :func:`dressed_green`; the emitter acts
     on the bath as an impurity of strength :func:`self_potential`.
     """
-    return _contact_resolvent(s, (e.site,), z, e.contact, "field")[0]
+    return _contact_resolvent(replace(e._contact(s), amplitude=None), z, "field")[0]
 
 
-def _vds_candidate(s: SpectralData, e: EmitterSpec):
-    """Energy omega0 is a stationary point iff gamma(omega0) vanishes there."""
+def _vds_candidate(c: Contact, omega0: float):
+    """Energy omega0 is a stationary point iff gamma(omega0) vanishes at the contact."""
     try:
-        gamma = bath_green_element(s, complex(e.omega0), e.site, e.site)
+        gamma = complex(_gamma_block(c, complex(omega0))[0, 0])
     except PoleError:
         return None
     if abs(gamma) < NODE_TOL:
-        return float(e.omega0)
+        return float(omega0)
     return None
 
 
-def _bound_state(s, e, omega, bands) -> BoundState:
-    states, chol = _contact_states(s, (e.site,), omega, np.ones((1, 1)), 1.0 / e.g)
+def _bound_state(c, e, omega, bands) -> BoundState:
+    states, chol = _contact_states(c, omega, np.ones((1, 1)))
     vec = states[:, 0]
     # <site|G_B(omega)|site>, the unnormalized photonic amplitude at the site
     gamma = vec[1 + e.site] * chol[0, 0].real
@@ -231,11 +236,12 @@ def solve_dressed_bound_states(
         max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
         split=e.omega0,
     )
-    roots = _contact_roots(s, (e.site,), *e.contact, intervals, n_grid, xtol)
-    vds = _vds_candidate(s, e)
+    c = e._contact(s)
+    roots = _contact_roots(c, intervals, n_grid, xtol)
+    vds = _vds_candidate(c, e.omega0)
     if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
         roots = sorted(roots + [vds])
-    return [_bound_state(s, e, w, bands) for w in roots]
+    return [_bound_state(c, e, w, bands) for w in roots]
 
 
 def dressed_scattering_state(
@@ -289,7 +295,7 @@ def _scattering_chunks(s, e, k_indices, delta):
     x_0..x_{N-1}]``.
     """
     for ks, omega, regular, coupling, photonic in _contact_scattering(
-        s, e.site, k_indices, delta, *e.contact, F_NODE_TOL
+        e._contact(s), k_indices, delta, F_NODE_TOL
     ):
         states = np.empty((s.n_sites + 1, ks.size), dtype=np.complex128)
         states[0] = coupling * (1.0 / e.g)

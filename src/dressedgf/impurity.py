@@ -8,9 +8,10 @@ emitter is the same contact with an energy-dependent strength, M emitters a
 contact on M sites S with the pole matrix F(z) = (slope*z + offset) -
 Gamma_S(z).  :mod:`dressedgf.dressed` and :mod:`dressedgf.multi` wrap the
 contact pieces here: F, the resolvent, the bound states, the scattering
-states and the one root-finder entry :func:`_contact_roots`.  They take every
-bath Green function from the dense backend of :mod:`dressedgf.bath`: the
-Gamma_S block, the columns G_B|x> and the pair weights.
+states and the one root-finder entry :func:`_contact_roots`.  Their one input
+is a :class:`dressedgf.bath.Contact`, which each spec builds once per call;
+every bath Green function comes from the dense backend of
+:mod:`dressedgf.bath`: the Gamma_S block and the columns G_B|x>.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import numpy as np
 from . import _kernels, _roots
 from .bath import (
     BandStructure,
+    Contact,
     SpectralData,
     _coinciding_modes,
     _gamma_block,
     _green_columns,
-    _pair_weights,
     bath_green_element,
     default_delta,
     detect_bands,
@@ -70,6 +71,9 @@ class ImpuritySpec:
             return 0.0, 0.0
         return 0.0, (math.inf if self.strength == 0.0 else 1.0 / self.strength)
 
+    def _contact(self, s: SpectralData) -> Contact:
+        return Contact(s, (self.site,), *self.contact)
+
 
 @dataclass(frozen=True, eq=False)
 class ImpurityBoundState:
@@ -104,69 +108,70 @@ def impurity_pole_function(s: SpectralData, spec: ImpuritySpec, z: complex) -> c
     return 1.0 / spec.strength - bath_green_element(s, z, spec.site, spec.site)
 
 
-def _contact_f(slope, offset, z, gamma):
+def _contact_f(c: Contact, z, gamma):
     """Contact pole function ``slope*z + offset - gamma`` at a scalar or an array ``z``.
 
     Real and imaginary parts are formed apart, so a batch of points gives
     the bits each point gives alone.
     """
-    re = slope * np.real(z) + offset - np.real(gamma)
-    return re + 1j * (slope * np.imag(z) - np.imag(gamma))
+    re = c.slope * np.real(z) + c.offset - np.real(gamma)
+    return re + 1j * (c.slope * np.imag(z) - np.imag(gamma))
 
 
-def _pole_matrix(slope, offset, z, gam) -> np.ndarray:
+def _pole_matrix(c: Contact, z, gam) -> np.ndarray:
     """F = (slope*z + offset) - Gamma_S; the diagonal is :func:`_contact_f`, as for one site."""
     f = -gam
     diag = np.diag_indices(gam.shape[-1])
-    f[diag] = _contact_f(slope, offset, z, gam[diag])
+    f[diag] = _contact_f(c, z, gam[diag])
     return f
 
 
-def _contact_resolvent(s: SpectralData, sites, z: complex, contact, what: str,
-                       amplitude=None, gam=None, keep_base: bool = False):
-    """Resolvent ``G_B + kets F(z)^-1 bras`` of the contact ``(slope, offset)`` at ``sites``.
+def _contact_resolvent(c: Contact, z: complex, what: str, gam=None, keep_base: bool = False):
+    """Resolvent ``G_B + kets F(z)^-1 bras`` of the contact ``c``.
 
     The kets ``G_B|x_i>`` and bras ``<x_j|G_B`` are the columns and rows of
     the one buffer holding G_B(z), to which the rank-M term is added.  With
-    ``amplitude`` (1/g for emitters) the buffer spans ``[e_1..e_M, x_0..]``
-    and kets and bras carry ``amplitude`` on ``e_i``.  ``gam`` is Gamma_S(z)
+    an ``amplitude`` (1/g for emitters) the buffer spans ``[e_1..e_M,
+    x_0..]`` and kets and bras carry it on ``e_i``.  ``gam`` is Gamma_S(z)
     if the caller holds it.  Returns ``(green, kets, bras, base)``, ``base``
     the padded G_B(z) if ``keep_base``.  PoleError, naming ``what``, where
     F's smallest singular value is below ``POLE_TOL`` or its condition
     number above ``COND_LIMIT`` (for one site: ``|f| < POLE_TOL``).
     """
+    s, sites = c.bath, c.sites
     if gam is None:
-        gam = _gamma_block(s, sites, z)
-    fm = _pole_matrix(*contact, z, gam)
+        gam = _gamma_block(c, z)
+    fm = _pole_matrix(c, z, gam)
     sv = np.linalg.svd(fm, compute_uv=False) if np.all(np.isfinite(fm)) else [np.nan]
     if not (sv[-1] >= POLE_TOL and sv[0] <= COND_LIMIT * sv[-1]):
         raise PoleError(f"F(z) numerically singular at z={z} (smallest singular value"
                         f" {sv[-1]:.3e}, largest {sv[0]:.3e}): {what} resolvent pole")
     m = len(sites)
-    e = 0 if amplitude is None else m
+    e = 0 if c.amplitude is None else m
     green = np.zeros((e + s.n_sites, e + s.n_sites), dtype=np.complex128)
     green[e:, e:] = green_matrix(s, z)
     base = green.copy() if keep_base else None
     kets = green[:, [e + x for x in sites]]
     bras = green[[e + x for x in sites], :]
     if e:
-        kets[range(m), range(m)] = bras[range(m), range(m)] = amplitude
+        kets[range(m), range(m)] = bras[range(m), range(m)] = c.amplitude
     green += kets @ np.linalg.solve(fm, bras)
     return green, kets, bras, base
 
 
-def _contact_kets(s: SpectralData, sites, w: complex, amplitude=None) -> np.ndarray:
-    """Kets ``G_B(w)|x_i>``, the bath's columns; ``amplitude`` adds the emitter sector."""
-    e = 0 if amplitude is None else len(sites)
-    kets = np.zeros((e + s.n_sites, len(sites)), dtype=np.complex128)
-    kets[e:] = _green_columns(s, sites, complex(w))
+def _contact_kets(c: Contact, w: complex, strict: bool = True) -> np.ndarray:
+    """Kets ``G_B(w)|x_i>``, the bath's columns; an ``amplitude`` adds the emitter sector."""
+    m = len(c.sites)
+    e = 0 if c.amplitude is None else m
+    kets = np.zeros((e + c.bath.n_sites, m), dtype=np.complex128)
+    kets[e:] = _green_columns(c, complex(w), strict)
     if e:
-        kets[range(e), range(e)] = amplitude
+        kets[range(e), range(e)] = c.amplitude
     return kets
 
 
-def _contact_states(s: SpectralData, sites, w: float, null, amplitude=None):
-    """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of a contact's F.
+def _contact_states(c: Contact, w: float, null):
+    """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of the contact's F.
 
     ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
     Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
@@ -174,7 +179,7 @@ def _contact_states(s: SpectralData, sites, w: float, null, amplitude=None):
     ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
     Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
-    psi = _contact_kets(s, sites, w, amplitude) @ null
+    psi = _contact_kets(c, w) @ null
     try:
         chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
     except np.linalg.LinAlgError:
@@ -182,9 +187,8 @@ def _contact_states(s: SpectralData, sites, w: float, null, amplitude=None):
     return psi @ np.conj(np.linalg.inv(chol).T), chol
 
 
-def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slope, offset,
-                        node_tol):
-    """Scattering branch of a contact at ``site`` on the bath modes ``k_indices``.
+def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
+    """Scattering branch of a one-site contact on the bath modes ``k_indices``.
 
     The contact has the pole function ``f(z) = slope*z + offset -
     <site|G_B(z)|site>`` (see :func:`_contact_f`).  ``f`` at the real energy
@@ -200,42 +204,42 @@ def _contact_scattering(s: SpectralData, site: int, k_indices, delta: float, slo
     is one row sum of the mode-sum kernel per mode and the columns
     ``G_B(z)|site>`` one product of the bath's column backend.
     """
+    s, (site,) = c.bath, c.sites
     ks = np.asarray(k_indices, dtype=np.intp).reshape(-1)
     out_of_range = (ks < 0) | (ks >= s.n_sites)
     if out_of_range.any():
         raise ValueError(f"k_index {ks[out_of_range][0]} out of range")
-    weights = _pair_weights(s, (site,))
     if delta == 0.0:
         raise ValueError("delta must be nonzero: the regular branch is taken off the real axis")
     vecs, energies = s.eigenvectors, s.eigenvalues
     for start in range(0, ks.size, SCATTER_CHUNK):
         kc = ks[start:start + SCATTER_CHUNK]
         omega = energies[kc]
-        regular = _coinciding_modes(s, (site,), omega, strict=False)[1]
+        regular = _coinciding_modes(c, omega, strict=False)[1]
         # the rare mode with no coinciding pole (a node at the site) needs f
         # at its real energy, over the modes the coinciding-mode rule keeps
         for i in np.flatnonzero(~regular):
             w = float(omega[i])
-            f_real = _contact_f(slope, offset, w, bath_green_element(s, w, site, site))
+            f_real = _contact_f(c, w, complex(_gamma_block(c, w)[0, 0]))
             regular[i] = not abs(f_real) < node_tol
         z = omega + 1j * delta
-        f = _contact_f(slope, offset, z, _kernels.mode_sum(weights, energies, z)[:, 0, 0])
+        f = _contact_f(c, z, _kernels.mode_sum(c.weights, energies, z)[:, 0, 0])
         coupling = np.zeros(kc.size, dtype=np.complex128)
         np.divide(vecs[site, kc], f, out=coupling, where=regular)
         # coupling on the left: numpy's complex product is not bit-symmetric
-        states = vecs[:, kc] + coupling * _green_columns(s, (site,), z)
+        states = vecs[:, kc] + coupling * _green_columns(c, z)
         states[:, ~regular] = vecs[:, kc[~regular]]
         yield kc, omega, regular, coupling, states
 
 
-def _contact_roots(s: SpectralData, sites, slope, offset, intervals, n_grid, xtol):
+def _contact_roots(c: Contact, intervals, n_grid, xtol):
     """Roots of the M branches of ``F(w) = (slope*w + offset) - Gamma_S(w)`` on ``intervals``.
 
     The one root-finder entry of every contact: :func:`_roots.contact_roots`
-    on the block's pair weights over ``sites``.
+    on the contact's pair weights.
     """
     return _roots.contact_roots(
-        _pair_weights(s, sites), s.eigenvalues, slope, offset, intervals, n_grid, xtol
+        c.weights, c.bath.eigenvalues, c.slope, c.offset, intervals, n_grid, xtol
     )
 
 
@@ -250,7 +254,7 @@ def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarra
         return vacancy_green(s, spec.site, z)
     if spec.strength == 0.0:
         return green_matrix(s, z)
-    return _contact_resolvent(s, (spec.site,), z, spec.contact, "impurity")[0]
+    return _contact_resolvent(spec._contact(s), z, "impurity")[0]
 
 
 def vacancy_green(s: SpectralData, site: int, z: complex) -> np.ndarray:
@@ -260,7 +264,7 @@ def vacancy_green(s: SpectralData, site: int, z: complex) -> np.ndarray:
     the row and column at ``site`` vanish identically and the rest equals the
     resolvent of the deleted-site bath.
     """
-    out = _contact_resolvent(s, (site,), z, (0.0, 0.0), "vacancy")[0]
+    out = _contact_resolvent(Contact(s, (site,)), z, "vacancy")[0]
     # The projected row/col are exact zeros up to roundoff; pin them.
     out[site, :] = 0.0
     out[:, site] = 0.0
@@ -285,7 +289,7 @@ def solve_impurity_bound_state(
         bands = detect_bands(s)
     if not spec.is_vacancy and spec.strength == 0.0:
         return []
-    slope, offset = spec.contact
+    c = spec._contact(s)
     # the tail root sits below the bands when attractive, above when repulsive
     v = spec.strength
     intervals = _roots.gap_intervals(
@@ -294,8 +298,8 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
     states = []
-    for w in _contact_roots(s, (spec.site,), slope, offset, intervals, n_grid, xtol):
-        built = _contact_states(s, (spec.site,), w, np.ones((1, 1)))
+    for w in _contact_roots(c, intervals, n_grid, xtol):
+        built = _contact_states(c, w, np.ones((1, 1)))
         if built is None:
             continue
         wavefunction, chol = built[0][:, 0], built[1]
@@ -323,7 +327,7 @@ def impurity_scattering_state(
     if delta is None:
         delta = default_delta(s)
     (_, omega, regular, _, states), = _contact_scattering(
-        s, spec.site, [k_index], delta, *spec.contact, NODE_TOL
+        spec._contact(s), [k_index], delta, NODE_TOL
     )
     return ImpurityScatteringState(
         k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _roots
-from .bath import BandStructure, SpectralData, _gamma_block, detect_bands
+from .bath import BandStructure, Contact, SpectralData, _gamma_block, detect_bands
 from .errors import PoleError, RegimeError
 from .impurity import (
     POLE_TOL,
@@ -71,6 +71,9 @@ class EmitterArraySpec:
     def contact(self) -> tuple:
         """``(slope, offset)`` of the shared pole matrix: 1/g**2 and -omega0/g**2."""
         return self.emitters[0].contact
+
+    def _contact(self, s: SpectralData) -> Contact:
+        return Contact(s, self.sites, *self.contact, 1.0 / self.g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +154,9 @@ def f_matrix(s: SpectralData, arr: EmitterArraySpec, z: complex) -> FMatrix:
     shifted center that control the weak-coupling doublet are attached.
     """
     z = complex(z)
-    gam = _gamma_block(s, arr.sites, z)
-    return _with_pair_scalars(arr, z, _pole_matrix(*arr.contact, z, gam), gam)
+    c = arr._contact(s)
+    gam = _gamma_block(c, z)
+    return _with_pair_scalars(arr, z, _pole_matrix(c, z, gam), gam)
 
 
 def _with_pair_scalars(arr: EmitterArraySpec, z: complex, mat: np.ndarray,
@@ -176,14 +180,15 @@ def overlap_matrix(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.n
     omega = complex(omega)
     if omega.imag != 0.0:
         raise ValueError("overlap matrix is defined at real energies only")
-    out = _gamma_block(s, arr.sites, omega, 2)
-    out[np.diag_indices(arr.m)] += arr.contact[0]
+    c = arr._contact(s)
+    out = _gamma_block(c, omega, 2)
+    out[np.diag_indices(arr.m)] += c.slope
     return out
 
 
 def multi_green(s: SpectralData, arr: EmitterArraySpec, z: complex) -> np.ndarray:
     """Full resolvent over ``[e_1..e_M, x_0..x_{N-1}]`` via the rank-M update."""
-    return _contact_resolvent(s, arr.sites, z, arr.contact, "emitter-array", 1.0 / arr.g)[0]
+    return _contact_resolvent(arr._contact(s), z, "emitter-array")[0]
 
 
 def t_matrix_series_green(
@@ -203,13 +208,12 @@ def t_matrix_series_green(
     if abs(z - arr.omega0) < POLE_TOL:
         raise PoleError(f"bare emitter pole at z={z}")
     gamma_e = 1.0 / (z - arr.omega0)
-    gam = _gamma_block(s, arr.sites, z)
+    c = arr._contact(s)
+    gam = _gamma_block(c, z)
     t = arr.g ** 2 * gamma_e * gam
     rho = float(np.max(np.abs(np.linalg.eigvals(t))))
 
-    closed, kets, bras, base = _contact_resolvent(
-        s, arr.sites, z, arr.contact, "emitter-array", 1.0 / arr.g, gam, keep_base=True
-    )
+    closed, kets, bras, base = _contact_resolvent(c, z, "emitter-array", gam, keep_base=True)
     h = np.eye(arr.m, dtype=np.complex128)
     term = np.eye(arr.m, dtype=np.complex128)
     residuals = []
@@ -239,6 +243,12 @@ def det_f_roots(
     reliable even when two roots almost coincide (they then sit on different
     branches).
     """
+    return _array_roots(arr._contact(s), arr, bands, n_grid, xtol)
+
+
+def _array_roots(c: Contact, arr: EmitterArraySpec, bands, n_grid, xtol):
+    """:func:`det_f_roots` on the contact ``c`` of ``arr``."""
+    s = c.bath
     if bands is None:
         bands = detect_bands(s)
     intervals = _roots.gap_intervals(
@@ -246,7 +256,7 @@ def det_f_roots(
         min(arr.omega0, float(s.eigenvalues[0])) - arr.g - 1.0,
         max(arr.omega0, float(s.eigenvalues[-1])) + arr.g + 1.0,
     )
-    return _contact_roots(s, arr.sites, *arr.contact, intervals, n_grid, xtol)
+    return _contact_roots(c, intervals, n_grid, xtol)
 
 
 def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.ndarray:
@@ -291,16 +301,16 @@ def solve_two_atom_poles(
     """
     if arr.m != 2:
         raise ValueError("solve_two_atom_poles requires exactly two emitters")
-    if bands is None:
-        bands = detect_bands(s)
-    roots = det_f_roots(s, arr, bands, xtol=xtol)
+    c = arr._contact(s)
+    roots = _array_roots(c, arr, bands, 256, xtol)
     doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
 
     def states_at(w: float, count: int) -> np.ndarray:
         # the null vectors of F(w): eigenvectors by ascending |eigenvalue|
-        fvals, fvecs = np.linalg.eigh(f_matrix(s, arr, complex(w)).matrix)
+        z = complex(w)
+        fvals, fvecs = np.linalg.eigh(_pole_matrix(c, z, _gamma_block(c, z)))
         null = fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
-        return _contact_states(s, arr.sites, w, null, 1.0 / arr.g)[0]
+        return _contact_states(c, w, null)[0]
 
     if len(doublet) == 2 and abs(doublet[1] - doublet[0]) < 1e-9 * max(1.0, abs(doublet[0])):
         # The roots coincide below root-finder resolution (distant atoms): F has
@@ -344,12 +354,13 @@ def effective_hamiltonian_many(
         bands = detect_bands(s)
     dist = _gap_distance(bands, arr.omega0)
     # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
-    gam = _gamma_block(s, arr.sites, arr.omega0)
+    c = arr._contact(s)
+    gam = _gamma_block(c, arr.omega0)
     g2 = arr.g ** 2
     mat = arr.omega0 * np.eye(arr.m) + g2 * gam
     # the single-emitter dressed states at omega0, each normalized alone
     norms = np.real(np.diag(overlap_matrix(s, arr, arr.omega0)))
-    basis = _contact_kets(s, arr.sites, arr.omega0, 1.0 / arr.g) / np.sqrt(norms)
+    basis = _contact_kets(c, arr.omega0) / np.sqrt(norms)
     gammas = np.linalg.eigvalsh(gam)
     ratio = float(np.max(np.abs(g2 * np.diag(gam))) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(
@@ -381,7 +392,8 @@ def effective_hamiltonian_two(
     dist = _gap_distance(bands, arr.omega0)
     g2 = arr.g ** 2
     # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
-    gam = _gamma_block(s, arr.sites, arr.omega0)
+    c = arr._contact(s)
+    gam = _gamma_block(c, arr.omega0)
     fdata = _with_pair_scalars(arr, complex(arr.omega0), -gam, gam)
     fm = fdata.matrix
     fprime = overlap_matrix(s, arr, arr.omega0)
@@ -393,7 +405,7 @@ def effective_hamiltonian_two(
     # the center's rounding: omega0 plus g**2 times N mode sums, each term of
     # which Cauchy-Schwarz bounds by sqrt(<x|G_B^2|x>) = sqrt(n_i - 1/g**2)
     center_tol = s.n_sites * np.finfo(float).eps * (
-        abs(arr.omega0) + g2 * math.sqrt(max(n1, n2, arr.contact[0]) - arr.contact[0])
+        abs(arr.omega0) + g2 * math.sqrt(max(n1, n2, c.slope) - c.slope)
     )
     beta_p = asym * (n1 - n2) + split * (n1 + n2)
     beta_m = asym * (n1 - n2) - split * (n1 + n2)
@@ -453,7 +465,7 @@ def effective_hamiltonian_two(
         asymmetry=asym, splitting=split, shifted_center=center,
         h_s=h_s_n, h_a=h_a_n,
     )
-    basis = _contact_kets(s, arr.sites, arr.omega0, 1.0 / arr.g) / scale
+    basis = _contact_kets(c, arr.omega0) / scale
     gammas = np.linalg.eigvalsh(-fm)
     ratio = float(max(abs(g2 * fm[0, 0]), abs(g2 * fm[1, 1])) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(

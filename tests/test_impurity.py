@@ -296,7 +296,7 @@ def test_gamma_block_is_bit_equal_to_its_elements(m):
         # complex z, real z outside the spectrum and real z between two levels
         for z in (random_z(rng, s), float(ev[-1]) + 0.3, 0.5 * float(ev[7] + ev[8])):
             for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
-                block = bath._gamma_block(s, sites, z, power)
+                block = bath._gamma_block(bath.Contact(s, sites), z, power)
                 assert block.tobytes() == _elementwise(element, s, sites, z).tobytes()
 
 
@@ -312,18 +312,19 @@ def test_gamma_block_and_kets_raise_and_drop_modes_as_their_elements():
             except PoleError:
                 outcomes.add("raise")
                 with pytest.raises(PoleError, match="coincides with eigenvalue"):
-                    bath._gamma_block(s, sites, w, power)
+                    bath._gamma_block(bath.Contact(s, sites), w, power)
             else:
                 outcomes.add("drop")
-                assert bath._gamma_block(s, sites, w, power).tobytes() == ref.tobytes()
+                block = bath._gamma_block(bath.Contact(s, sites), w, power)
+                assert block.tobytes() == ref.tobytes()
         # the columns follow green_column: a mode raises when any site's |<x|k>|**2 would
         try:
             columns = np.array([green_column(s, w, x) for x in sites]).T
         except PoleError:
             with pytest.raises(PoleError, match="coincides with eigenvalue"):
-                bath._green_columns(s, sites, w)
+                bath._green_columns(bath.Contact(s, sites), w)
         else:
-            np.testing.assert_allclose(bath._green_columns(s, sites, w), columns,
+            np.testing.assert_allclose(bath._green_columns(bath.Contact(s, sites), w), columns,
                                        rtol=0, atol=1e-14)
     assert outcomes == {"raise", "drop"}
 
@@ -350,9 +351,9 @@ def test_weak_mode_is_dropped_by_every_sum_alike(t):
     gamma_sq = np.sum(np.abs(v[0]) ** 2 / (w - ev) ** 2)
     assert abs(bath_green_element(s, w, 0, 0) - gamma) < 1e-12
     assert abs(bath_green_squared_element(s, w, 0, 0) - gamma_sq) < 1e-12 * abs(gamma_sq)
-    assert abs(bath._gamma_block(s, (0,), w)[0, 0] - gamma) < 1e-12
+    assert abs(bath._gamma_block(bath.Contact(s, (0,)), w)[0, 0] - gamma) < 1e-12
     np.testing.assert_allclose(green_column(s, w, 0), column, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(impurity._contact_kets(s, (0,), w)[:, 0], column,
+    np.testing.assert_allclose(impurity._contact_kets(bath.Contact(s, (0,)), w)[:, 0], column,
                                rtol=0, atol=1e-12)
 
 
@@ -369,11 +370,11 @@ def test_every_bath_sum_reaches_the_one_kernel(monkeypatch):
     entries = {
         "bath_green_element": lambda: bath_green_element(s, 0.3 + 0.1j, 2, 5),
         "bath_green_squared_element": lambda: bath_green_squared_element(s, 2.5, 3, 3),
-        "_gamma_block": lambda: bath._gamma_block(s, (1, 4, 6), 2.5j),
+        "_gamma_block": lambda: bath._gamma_block(bath.Contact(s, (1, 4, 6)), 2.5j),
         "_contact_roots": lambda: impurity._contact_roots(
-            s, (3,), 0.0, 1.0, [(2.0, 5.0, True, False)], 16, 1e-12),
+            bath.Contact(s, (3,), 0.0, 1.0), [(2.0, 5.0, True, False)], 16, 1e-12),
         "_contact_scattering": lambda: list(impurity._contact_scattering(
-            s, 3, [0, 5], 1e-8, 0.0, 1.0, impurity.NODE_TOL)),
+            bath.Contact(s, (3,), 0.0, 1.0), [0, 5], 1e-8, impurity.NODE_TOL)),
     }
     reached = {}
     for name, call in entries.items():
