@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,6 +204,18 @@ def _finite_real(value) -> bool:
         return False
 
 
+def _max_sites() -> int:
+    """Largest bath that can index and whose dense N x N complex matrix fits in memory.
+
+    The memory is the machine's physical memory, read at run time.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+    return min(sys.maxsize, math.isqrt(memory // 16))
+
+
 def load_bath_spec(text: str) -> BathSpec:
     """Parse a bath document (JSON map) into a :class:`BathSpec`.
 
@@ -228,6 +242,9 @@ def load_bath_spec(text: str) -> BathSpec:
     n_sites = doc["n_sites"]
     if not isinstance(n_sites, int) or isinstance(n_sites, bool):
         raise ConfigError(f"n_sites must be an integer, got {n_sites!r}")
+    if n_sites > _max_sites():
+        raise ConfigError(f"n_sites must be <= {_max_sites()}: the bath's dense complex"
+                          " matrix must fit in memory")
 
     raw_freq = doc["frequencies"]
     if _finite_real(raw_freq):

@@ -19,6 +19,7 @@ from .bath import (
     _bands_from_levels,
     _dense_eigh,
     _finite_real,
+    _max_sites,
     build_ssh_chain,
     build_uniform_chain,
     default_delta,
@@ -38,10 +39,10 @@ _TOP_KEYS = {
     "bath", "emitters", "gap_factor", "delta", "tol", "seed",
     "n_grid", "k_indices", "g_sweep", "checks", "num_z",
 }
-#: builder name -> (function, size key, number keys in argument order)
+#: builder name -> (function, size key, sites per size unit, number keys in argument order)
 _BUILDERS = {
-    "chain": (build_uniform_chain, "n_sites", ("omega_c", "j")),
-    "ssh": (build_ssh_chain, "n_cells", ("omega_c", "j1", "j2")),
+    "chain": (build_uniform_chain, "n_sites", 1, ("omega_c", "j")),
+    "ssh": (build_ssh_chain, "n_cells", 2, ("omega_c", "j1", "j2")),
 }
 _EMITTER_KEYS = {"omega0", "g", "site"}
 
@@ -63,12 +64,15 @@ def _positive(value, key, where="config"):
     return num
 
 
-def _integer(raw, key, default, minimum=None, where="config"):
+def _integer(raw, key, default, minimum=None, where="config", maximum=None):
     val = raw.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{where}: '{key}' must be an integer")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}: '{key}' must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{where}: '{key}' must be <= {maximum}: the bath's dense"
+                          " complex matrix must fit in memory")
     return val
 
 
@@ -124,10 +128,11 @@ class RunConfig:
             name = section["builder"]
             if not isinstance(name, str) or name not in _BUILDERS:
                 raise ConfigError(f"config bath: unknown builder '{name}'")
-            build, size, numbers = _BUILDERS[name]
+            build, size, per_unit, numbers = _BUILDERS[name]
             _reject_unknown(section, {"builder", size, *numbers}, "config bath")
             return build(
-                _integer(section, size, None, minimum=1, where="config bath"),
+                _integer(section, size, None, minimum=1, where="config bath",
+                         maximum=_max_sites() // per_unit),
                 *(float(_require_number(section, key, "config bath")) for key in numbers),
             )
         if "file" in section:
@@ -186,7 +191,7 @@ def load_config(path: str) -> RunConfig:
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -208,7 +208,7 @@ def _bound_state(c, e, omega, bands) -> BoundState:
         photonic=vec[1:],
         norm_factor=float(vec[0].real),
         in_band=bands.in_band(omega),
-        is_vds=abs(omega - e.omega0) < NODE_TOL and abs(gamma) < NODE_TOL,
+        is_vds=bool(abs(omega - e.omega0) < NODE_TOL and abs(gamma) < NODE_TOL),
     )
 
 

@@ -177,9 +177,11 @@ def _contact_states(c: Contact, w: float, null):
     Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
     ``null^H (slope + Gamma_S^2) null`` as the emitter sector holds
     ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
+    A coupled mode within ``POLE_ATOL`` of ``w`` is no pole of the state at a
+    root and stays in the sum; only the rule's weak modes are dropped.
     Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
-    psi = _contact_kets(c, w) @ null
+    psi = _contact_kets(c, w, strict=False) @ null
     try:
         chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
     except np.linalg.LinAlgError:

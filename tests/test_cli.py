@@ -2,8 +2,10 @@
 
 import json
 import math
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,53 @@ def test_unreadable_number_or_builder_is_a_config_error(tmp_path, capsys, comman
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+_OVERSIZED_BATHS = {
+    "chain": lambda n: {"builder": "chain", "n_sites": n, "omega_c": 0.0, "j": 1.0},
+    "ssh": lambda n: {"builder": "ssh", "n_cells": n, "omega_c": 0.0, "j1": 0.5, "j2": 1.0},
+    "document": lambda n: {"n_sites": n, "frequencies": 0.0, "hoppings": []},
+}
+
+
+@pytest.mark.parametrize("size", [_HUGE, 2 ** 63, 10 ** 9], ids=["400-digits", "2**63", "1e9"])
+@pytest.mark.parametrize("bath", sorted(_OVERSIZED_BATHS))
+def test_oversized_bath_is_a_config_error_before_anything_is_built(tmp_path, capsys, bath,
+                                                                    size):
+    # ROADMAP 3(vi): a 400-digit size ended in an OverflowError traceback, and
+    # 10**9 sites would have built the bath before failing
+    cfg = _write_config(tmp_path, "run.json", {"bath": _OVERSIZED_BATHS[bath](size)})
+    # should the check regress, the address-space cap turns the allocation
+    # into a MemoryError instead of taking the machine's memory
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    pages = int(Path("/proc/self/statm").read_text().split()[0])
+    cap = pages * resource.getpagesize() + (1 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY
+                                            else min(cap, hard), hard))
+    tracemalloc.start()
+    try:
+        code = cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must fit in memory" in err
+
+
+def test_bound_states_csv_writes_is_vds_as_true_or_false(tmp_path):
+    # ROADMAP 3(vii): a root within NODE_TOL of omega0 made is_vds a numpy
+    # bool, written as 1 next to false; here the VDS sits at omega0 = 0
+    cfg = _write_config(tmp_path, "run.json", {
+        "bath": {"builder": "chain", "n_sites": 3, "omega_c": 0.0, "j": 1.0},
+        "emitters": [{"omega0": 0.0, "g": 0.5, "site": 1}],
+    })
+    assert cli.main(["bound-states", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "bound_states.csv")
+    flags = [dict(zip(header, r))["is_vds"] for r in rows]
+    assert "true" in flags and set(flags) <= {"true", "false"}
+    assert cli._fmt(np.bool_(True)) == "true" and cli._fmt(np.bool_(False)) == "false"
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--tol"])

@@ -197,10 +197,8 @@ def _chain_with_side_level(t):
         strict=True, raises=AssertionError,
         reason="ROADMAP 3(iii): a root 1e-13 above a weak level lies inside the first margin",
     )),
-    pytest.param(1.2e-5, marks=pytest.mark.xfail(
-        strict=True, raises=PoleError,
-        reason="ROADMAP 3(iv): a root within POLE_ATOL of a level of weight 2.1e-11",
-    )),
+    # ROADMAP 3(iv): a root within POLE_ATOL of a level of weight 2.1e-11
+    1.2e-5,
 ])
 def test_root_next_to_weakly_coupled_level(t):
     _assert_in_gap_roots_match_oracle(_chain_with_side_level(t), EmitterSpec(2.5, 0.1, 0))
@@ -271,6 +269,8 @@ def test_scattering_bic_mode_untouched():
     # ...and it coexists with the bound state at the same energy
     states = solve_dressed_bound_states(s, e)
     assert any(b.is_vds and abs(b.energy) < 1e-11 for b in states)
+    # ROADMAP 3(vii): a plain bool, also at a root within NODE_TOL of omega0
+    assert all(type(b.is_vds) is bool for b in states)
 
 
 def test_scattering_regular_modes_residuals():

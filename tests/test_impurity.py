@@ -6,6 +6,8 @@ import pytest
 from dressedgf import (
     VACANCY,
     BathSpec,
+    EmitterArraySpec,
+    EmitterSpec,
     ImpuritySpec,
     PoleError,
     RegimeError,
@@ -13,6 +15,7 @@ from dressedgf import (
     bath_green_squared_element,
     build_ssh_chain,
     build_uniform_chain,
+    det_f_roots,
     diagonalize_bath,
     green_column,
     green_matrix,
@@ -20,7 +23,9 @@ from dressedgf import (
     impurity_pole_function,
     impurity_scattering_state,
     impurity_state,
+    solve_dressed_bound_states,
     solve_impurity_bound_state,
+    solve_two_atom_poles,
     vacancy_green,
 )
 from dressedgf import _kernels, bath, impurity
@@ -355,6 +360,61 @@ def test_weak_mode_is_dropped_by_every_sum_alike(t):
     np.testing.assert_allclose(green_column(s, w, 0), column, rtol=0, atol=1e-12)
     np.testing.assert_allclose(impurity._contact_kets(bath.Contact(s, (0,)), w)[:, 0], column,
                                rtol=0, atol=1e-12)
+
+
+def test_off_diagonal_element_sums_its_one_pair_and_keys_on_both_sites(monkeypatch):
+    rng = np.random.default_rng(73)
+    s = diagonalize_bath(random_bath_spec(rng, 30))
+    shapes = []
+    kernel = _kernels.mode_sum
+
+    def recording(weights, *args):
+        shapes.append(weights.shape)
+        return kernel(weights, *args)
+
+    monkeypatch.setattr(_kernels, "mode_sum", recording)
+    for z in (random_z(rng, s), float(s.eigenvalues[-1]) + 0.3):
+        for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
+            shapes.clear()
+            value = element(s, z, 4, 17)
+            assert shapes == [(s.n_sites,)]  # one mode sum, not the 2 x 2 block's four
+            block = bath._gamma_block(bath.Contact(s, (4, 17)), z, power)
+            assert np.complex128(value).tobytes() == block[0, 1].tobytes()
+    # chain of 5: the mode at energy 0 has nodes on sites 1 and 3 only
+    s = diagonalize_bath(build_uniform_chain(5, 0.0, 1.0))
+    w = float(s.eigenvalues[2])
+    bath_green_element(s, w, 1, 3)
+    for x, xp in ((1, 2), (2, 1)):
+        with pytest.raises(PoleError, match="coincides with eigenvalue"):
+            bath_green_element(s, w, x, xp)
+
+
+def _side_level_pair():
+    return EmitterArraySpec(tuple(EmitterSpec(2.5, 0.1, x) for x in (0, 2)))
+
+
+@pytest.mark.parametrize("solve,bath_spec,spec,built", [
+    # the VDS at omega0 = 0 is both a rule call at omega0 and a root
+    (solve_dressed_bound_states, build_uniform_chain(5, 0.0, 1.0), EmitterSpec(0.0, 0.5, 1),
+     {"weights": 1, "key": 1}),
+    (det_f_roots, _chain_with_side_level(1.2e-5), _side_level_pair(), {"weights": 1, "key": 0}),
+    (solve_two_atom_poles, _chain_with_side_level(1.2e-5), _side_level_pair(),
+     {"weights": 1, "key": 0}),
+], ids=["solve_dressed_bound_states", "det_f_roots", "solve_two_atom_poles"])
+def test_pair_weights_and_key_are_built_once_per_call(monkeypatch, solve, bath_spec, spec,
+                                                      built):
+    s = diagonalize_bath(bath_spec)
+    counts = dict.fromkeys(built, 0)
+    for name in counts:
+        prop = bath.Contact.__dict__[name]
+
+        def counted(contact, _name=name, _build=prop.func):
+            counts[_name] += 1
+            return _build(contact)
+
+        monkeypatch.setattr(prop, "func", counted)
+    assert solve(s, spec)
+    assert counts == built
 
 
 def test_every_bath_sum_reaches_the_one_kernel(monkeypatch):
