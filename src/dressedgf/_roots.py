@@ -7,9 +7,7 @@ branch is strictly increasing between the bath poles (F' = slope + Gamma_S^2
 is the positive-definite Gram matrix of the dressed states), so sign changes
 on a scan grid pin down every root.  Grids are clustered geometrically
 towards pole endpoints to catch roots exponentially close to a band edge.
-Every search enters through :func:`dressedgf.impurity._contact_roots`, which
-passes the bath's pair weights; Gamma_S is the one kernel
-:func:`dressedgf._kernels.mode_sum`.
+Every search enters through :func:`dressedgf.impurity._contact_roots`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Finite photonic baths: specs, diagonalization and the dense Green-function backend.
 
 A bath is a finite tight-binding lattice; its eigendecomposition is the one
-backend of every bath Green function, exact for the finite lattice.  The
-contact engine asks it for the Gamma_S or Gamma_S^2 block over the contact
-sites (:func:`_gamma_block`) and for columns G_B|x> (:func:`_green_columns`);
-an element is an entry of a block, a row the conjugate column at conj(z), and
-the full matrix :func:`_spectral_sum`.  All share one coinciding-mode rule,
-:func:`_coinciding_modes`.  Limits onto the real axis are taken as ``z = w +
-1j*delta`` with ``delta`` defaulting to :func:`default_delta`.
+backend of every bath Green function.  The contact engine asks it, through a
+:class:`Contact`, for Gamma_S blocks (:func:`_gamma_block`) and columns
+G_B|x> (:func:`_green_columns`); elements, rows and the full matrix
+(:func:`_spectral_sum`) share their one coinciding-mode rule,
+:func:`_coinciding_modes`.  Real-axis limits use ``z = w + 1j*delta``.
 """
 
 from __future__ import annotations
@@ -205,10 +203,7 @@ def _finite_real(value) -> bool:
 
 
 def _max_sites() -> int:
-    """Largest bath that can index and whose dense N x N complex matrix fits in memory.
-
-    The memory is the machine's physical memory, read at run time.
-    """
+    """Largest bath that indexes and whose dense N x N complex matrix fits in memory."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -324,14 +319,11 @@ def _fix_phases(evecs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Contact:
-    """The contact engine's one input: a bath, the contact sites and F's shape.
+    """The contact engine's one input: the bath, the sites and F = (slope*z + offset) - Gamma_S.
 
-    Impurity, vacancy, one emitter and M emitters all act on the bath
-    through ``sites`` with the pole matrix F(z) = (slope*z + offset) -
-    Gamma_S(z); an emitter contact carries ``amplitude`` 1/g on its emitter
-    sector, an impurity None.  The sites are checked once, here.  The rows
-    V_S, the pair weights and the coinciding-mode key are built once, when
-    first used, so a rule over every site never builds N x N x N weights.
+    ``amplitude`` is an emitter's 1/g on its emitter sector, None for an
+    impurity.  The sites are checked once; the rows, pair weights and key
+    are built on first use, so a rule over every site builds no weights.
     """
 
     bath: SpectralData
@@ -353,8 +345,7 @@ class Contact:
     @cached_property
     def weights(self) -> np.ndarray:
         """Pair weights ``<x_i|k><k|x_j>``, shape (M, M, N): every block's mode-sum input."""
-        v = self.rows
-        return v[:, None, :] * np.conj(v[None, :, :])
+        return self.rows[:, None, :] * np.conj(self.rows[None, :, :])
 
     @cached_property
     def key(self) -> np.ndarray:
@@ -365,13 +356,10 @@ class Contact:
 def _coinciding_modes(c: Contact, z, strict: bool = True):
     """The coinciding-mode rule of every sum over the contact: ``(weak, poles)`` at ``z``.
 
-    Only a real point can coincide with a mode, by lying within
-    ``POLE_ATOL`` of its level.  The rule keys a mode on ``c.key``: a
-    coinciding mode with key below ``WEIGHT_TOL`` cannot couple and is
-    dropped, any other is a genuine pole and raises PoleError if ``strict``.
-    ``z`` is a scalar or a 1-D array; ``weak`` masks the dropped modes along
-    the last axis (None if there are none) and ``poles`` flags the points
-    with a genuine pole.
+    A mode within ``POLE_ATOL`` of a real ``z`` with ``c.key`` below
+    ``WEIGHT_TOL`` cannot couple and is dropped (masked by ``weak``, None if
+    none); any other is a genuine pole, raising PoleError if ``strict``.
+    ``z`` is a scalar or a 1-D array; ``poles`` flags its points on a pole.
     """
     z = np.asarray(z, dtype=np.complex128)
     real = z.imag == 0.0
@@ -395,9 +383,8 @@ def _coinciding_modes(c: Contact, z, strict: bool = True):
 def _gamma_block(c: Contact, z: complex, power: int = 1, weights=None) -> np.ndarray:
     """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over the contact sites at ``z``.
 
-    One :func:`_kernels.mode_sum` over the modes the coinciding-mode rule
-    keeps.  ``weights`` replaces the block's pair weights, e.g. by the one
-    pair of an off-diagonal element; the rule stays the contact's.
+    One :func:`_kernels.mode_sum` over the modes the rule keeps, of the
+    contact's pair weights or of ``weights`` (one pair, for an element).
     """
     weights = c.weights if weights is None else weights
     energies = c.bath.eigenvalues
@@ -432,11 +419,7 @@ def _element(s: SpectralData, z: complex, x: int, xp: int, power: int) -> comple
 def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:
     """Matrix element ``<x| (z - H_B)^-1 |xp>``, the entry of the block over ``{x, xp}``.
 
-    Raises
-    ------
-    PoleError
-        For real ``z`` sitting on an eigenvalue with weight at ``x`` or
-        ``xp``; coinciding modes of negligible weight at both are dropped.
+    PoleError for a real ``z`` on a level with weight at ``x`` or ``xp``.
     """
     return _element(s, z, x, xp, 1)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _roots
 from .bath import (
     BandStructure,
     Contact,
@@ -33,9 +32,9 @@ from .impurity import (
     POLE_TOL,
     _contact_f,
     _contact_resolvent,
-    _contact_roots,
     _contact_scattering,
     _contact_states,
+    _emitter_roots,
 )
 
 #: |F| below this at a real mode energy sends the mode through untouched.
@@ -56,14 +55,10 @@ class EmitterSpec:
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
 
-    @property
-    def contact(self) -> tuple:
-        """``(slope, offset)`` of F(z) = slope*z + offset - gamma: 1/g**2 and -omega0/g**2."""
-        g2 = self.g ** 2
-        return 1.0 / g2, -self.omega0 / g2
-
     def _contact(self, s: SpectralData) -> Contact:
-        return Contact(s, (self.site,), *self.contact, 1.0 / self.g)
+        """F(z) = z/g**2 - omega0/g**2 - gamma, with amplitude 1/g on the emitter."""
+        g2 = self.g ** 2
+        return Contact(s, (self.site,), 1.0 / g2, -self.omega0 / g2, 1.0 / self.g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,17 +181,6 @@ def field_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     return _contact_resolvent(replace(e._contact(s), amplitude=None), z, "field")[0]
 
 
-def _vds_candidate(c: Contact, omega0: float):
-    """Energy omega0 is a stationary point iff gamma(omega0) vanishes at the contact."""
-    try:
-        gamma = complex(_gamma_block(c, complex(omega0))[0, 0])
-    except PoleError:
-        return None
-    if abs(gamma) < NODE_TOL:
-        return float(omega0)
-    return None
-
-
 def _bound_state(c, e, omega, bands) -> BoundState:
     states, chol = _contact_states(c, omega, np.ones((1, 1)))
     vec = states[:, 0]
@@ -230,17 +214,15 @@ def solve_dressed_bound_states(
     """
     if bands is None:
         bands = detect_bands(s)
-    intervals = _roots.gap_intervals(
-        bands,
-        min(e.omega0, float(s.eigenvalues[0])) - e.g - 1.0,
-        max(e.omega0, float(s.eigenvalues[-1])) + e.g + 1.0,
-        split=e.omega0,
-    )
     c = e._contact(s)
-    roots = _contact_roots(c, intervals, n_grid, xtol)
-    vds = _vds_candidate(c, e.omega0)
-    if vds is not None and all(abs(vds - r) > 10 * xtol for r in roots):
-        roots = sorted(roots + [vds])
+    roots = _emitter_roots(c, e.omega0, e.g, bands, n_grid, xtol, split=e.omega0)
+    # omega0 is a stationary point iff gamma(omega0) vanishes at the site
+    try:
+        vds = abs(complex(_gamma_block(c, complex(e.omega0))[0, 0])) < NODE_TOL
+    except PoleError:
+        vds = False
+    if vds and all(abs(e.omega0 - r) > 10 * xtol for r in roots):
+        roots = sorted(roots + [float(e.omega0)])
     return [_bound_state(c, e, w, bands) for w in roots]
 
 

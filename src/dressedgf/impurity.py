@@ -1,17 +1,12 @@
 """Single static impurity in a finite bath, and the contact engine behind every model.
 
-The impurity adds ``strength * |site><site|`` to the bath Hamiltonian.  All
-results come from the rank-one update of the bare resolvent by a contact at
-``site`` with pole function ``f(z)``: ``f = 1/strength - <site|G_B|site>``
-here, ``f = -<site|G_B|site>`` in the vacancy (infinite-strength) limit.  An
-emitter is the same contact with an energy-dependent strength, M emitters a
-contact on M sites S with the pole matrix F(z) = (slope*z + offset) -
-Gamma_S(z).  :mod:`dressedgf.dressed` and :mod:`dressedgf.multi` wrap the
-contact pieces here: F, the resolvent, the bound states, the scattering
-states and the one root-finder entry :func:`_contact_roots`.  Their one input
-is a :class:`dressedgf.bath.Contact`, which each spec builds once per call;
-every bath Green function comes from the dense backend of
-:mod:`dressedgf.bath`: the Gamma_S block and the columns G_B|x>.
+The impurity adds ``strength * |site><site|`` to the bath Hamiltonian: a
+rank-one contact at ``site`` with pole function ``f = 1/strength -
+<site|G_B|site>`` (``-<site|G_B|site>`` for the vacancy).  An emitter is the
+same contact with an energy-dependent strength, M emitters a contact on M
+sites.  The engine pieces here take one :class:`dressedgf.bath.Contact`,
+built once per call; :mod:`dressedgf.dressed` and :mod:`dressedgf.multi`
+wrap them.
 """
 
 from __future__ import annotations
@@ -60,19 +55,13 @@ class ImpuritySpec:
     def is_vacancy(self) -> bool:
         return math.isinf(self.strength)
 
-    @property
-    def contact(self) -> tuple:
-        """``(slope, offset)`` of the pole function ``slope*z + offset - gamma``.
-
-        Offset 1/strength, 0 for the vacancy, and infinite without an impurity,
-        so that every mode stays regular with zero coupling.
-        """
-        if self.is_vacancy:
-            return 0.0, 0.0
-        return 0.0, (math.inf if self.strength == 0.0 else 1.0 / self.strength)
-
     def _contact(self, s: SpectralData) -> Contact:
-        return Contact(s, (self.site,), *self.contact)
+        """Slope 0 and offset 1/strength: 0 for the vacancy, infinite without an
+        impurity, so that every mode stays regular with zero coupling."""
+        if self.is_vacancy:
+            return Contact(s, (self.site,))
+        return Contact(s, (self.site,), 0.0,
+                       math.inf if self.strength == 0.0 else 1.0 / self.strength)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +116,12 @@ def _pole_matrix(c: Contact, z, gam) -> np.ndarray:
 
 
 def _contact_resolvent(c: Contact, z: complex, what: str, gam=None, keep_base: bool = False):
-    """Resolvent ``G_B + kets F(z)^-1 bras`` of the contact ``c``.
+    """Resolvent ``G_B + kets F(z)^-1 bras`` of the contact ``c``, in one buffer.
 
-    The kets ``G_B|x_i>`` and bras ``<x_j|G_B`` are the columns and rows of
-    the one buffer holding G_B(z), to which the rank-M term is added.  With
-    an ``amplitude`` (1/g for emitters) the buffer spans ``[e_1..e_M,
-    x_0..]`` and kets and bras carry it on ``e_i``.  ``gam`` is Gamma_S(z)
-    if the caller holds it.  Returns ``(green, kets, bras, base)``, ``base``
-    the padded G_B(z) if ``keep_base``.  PoleError, naming ``what``, where
-    F's smallest singular value is below ``POLE_TOL`` or its condition
-    number above ``COND_LIMIT`` (for one site: ``|f| < POLE_TOL``).
+    Kets and bras are the buffer's columns and rows; an ``amplitude`` puts
+    them on ``e_i`` of ``[e_1..e_M, x_0..]``.  ``gam`` is Gamma_S(z) if held.
+    Returns ``(green, kets, bras, base)``, ``base`` the padded G_B(z) if
+    ``keep_base``; PoleError naming ``what`` where F is singular.
     """
     s, sites = c.bath, c.sites
     if gam is None:
@@ -174,11 +159,9 @@ def _contact_states(c: Contact, w: float, null):
     """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of the contact's F.
 
     ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
-    Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
-    ``null^H (slope + Gamma_S^2) null`` as the emitter sector holds
-    ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
-    A coupled mode within ``POLE_ATOL`` of ``w`` is no pole of the state at a
-    root and stays in the sum; only the rule's weak modes are dropped.
+    Cholesky factor of ``psi^H psi``, ``psi = kets null``: Gram-Schmidt in the
+    order of ``null``.  A coupled mode within ``POLE_ATOL`` of a root is no
+    pole of the state and stays in the sum; only the rule's weak modes drop.
     Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
     psi = _contact_kets(c, w, strict=False) @ null
@@ -192,19 +175,10 @@ def _contact_states(c: Contact, w: float, null):
 def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
     """Scattering branch of a one-site contact on the bath modes ``k_indices``.
 
-    The contact has the pole function ``f(z) = slope*z + offset -
-    <site|G_B(z)|site>`` (see :func:`_contact_f`).  ``f`` at the real energy
-    omega of each mode decides: below ``node_tol`` in modulus the mode cannot
-    couple and passes through untouched; a genuine pole of f there (a
-    coinciding mode with weight at the site), or any larger value, takes the
-    regular branch ``mode + coupling * G_B(z)|site>`` with ``coupling =
-    mode[site] / f(z)`` at ``z = omega + 1j*delta``.
-
-    Yields ``(ks, omega, regular, coupling, vectors)`` per chunk of at most
-    ``SCATTER_CHUNK`` modes, with ``vectors[:, i]`` the state on mode
-    ``ks[i]``; the coupling of an untouched mode is 0.  Within a chunk f(z)
-    is one row sum of the mode-sum kernel per mode and the columns
-    ``G_B(z)|site>`` one product of the bath's column backend.
+    A mode with ``|f| < node_tol`` at its real energy omega passes through
+    untouched; any other takes ``mode + coupling * G_B(z)|site>``, ``coupling
+    = mode[site] / f(z)`` at ``z = omega + 1j*delta``.  Yields ``(ks, omega,
+    regular, coupling, vectors)`` per chunk of at most ``SCATTER_CHUNK`` modes.
     """
     s, (site,) = c.bath, c.sites
     ks = np.asarray(k_indices, dtype=np.intp).reshape(-1)
@@ -235,14 +209,20 @@ def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
 
 
 def _contact_roots(c: Contact, intervals, n_grid, xtol):
-    """Roots of the M branches of ``F(w) = (slope*w + offset) - Gamma_S(w)`` on ``intervals``.
-
-    The one root-finder entry of every contact: :func:`_roots.contact_roots`
-    on the contact's pair weights.
-    """
+    """Roots of the M branches of F on ``intervals``: the one root-finder entry."""
     return _roots.contact_roots(
         c.weights, c.bath.eigenvalues, c.slope, c.offset, intervals, n_grid, xtol
     )
+
+
+def _emitter_roots(c: Contact, omega0, g, bands, n_grid, xtol, split=None):
+    """:func:`_contact_roots` in the gaps; ``|root - omega0| <= g`` bounds the tails."""
+    levels = c.bath.eigenvalues
+    intervals = _roots.gap_intervals(
+        bands, min(omega0, float(levels[0])) - g - 1.0, max(omega0, float(levels[-1])) + g + 1.0,
+        split=split,
+    )
+    return _contact_roots(c, intervals, n_grid, xtol)
 
 
 def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarray:

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _roots
 from .bath import BandStructure, Contact, SpectralData, _gamma_block, detect_bands
 from .errors import PoleError, RegimeError
 from .impurity import (
     POLE_TOL,
     _contact_kets,
     _contact_resolvent,
-    _contact_roots,
     _contact_states,
+    _emitter_roots,
     _pole_matrix,
 )
 
@@ -67,13 +66,9 @@ class EmitterArraySpec:
     def sites(self) -> tuple:
         return tuple(e.site for e in self.emitters)
 
-    @property
-    def contact(self) -> tuple:
-        """``(slope, offset)`` of the shared pole matrix: 1/g**2 and -omega0/g**2."""
-        return self.emitters[0].contact
-
     def _contact(self, s: SpectralData) -> Contact:
-        return Contact(s, self.sites, *self.contact, 1.0 / self.g)
+        """The first emitter's contact, on every emitter's site."""
+        return replace(self.emitters[0]._contact(s), sites=self.sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,20 +238,9 @@ def det_f_roots(
     reliable even when two roots almost coincide (they then sit on different
     branches).
     """
-    return _array_roots(arr._contact(s), arr, bands, n_grid, xtol)
-
-
-def _array_roots(c: Contact, arr: EmitterArraySpec, bands, n_grid, xtol):
-    """:func:`det_f_roots` on the contact ``c`` of ``arr``."""
-    s = c.bath
     if bands is None:
         bands = detect_bands(s)
-    intervals = _roots.gap_intervals(
-        bands,
-        min(arr.omega0, float(s.eigenvalues[0])) - arr.g - 1.0,
-        max(arr.omega0, float(s.eigenvalues[-1])) + arr.g + 1.0,
-    )
-    return _contact_roots(c, intervals, n_grid, xtol)
+    return _emitter_roots(arr._contact(s), arr.omega0, arr.g, bands, n_grid, xtol)
 
 
 def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.ndarray:
@@ -301,8 +285,10 @@ def solve_two_atom_poles(
     """
     if arr.m != 2:
         raise ValueError("solve_two_atom_poles requires exactly two emitters")
+    if bands is None:
+        bands = detect_bands(s)
     c = arr._contact(s)
-    roots = _array_roots(c, arr, bands, 256, xtol)
+    roots = _emitter_roots(c, arr.omega0, arr.g, bands, 256, xtol)  # det_f_roots' grid
     doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
 
     def states_at(w: float, count: int) -> np.ndarray:
@@ -326,15 +312,16 @@ def solve_two_atom_poles(
                         state_minus=states[0], state_plus=states[1])
 
 
-def _gap_distance(bands: BandStructure, omega0: float) -> float:
-    gap = bands.gap_containing(omega0)
+def _at_omega0(s: SpectralData, arr: EmitterArraySpec, bands):
+    """Gamma_S and F' at omega0, the dressed states there each normalized alone, and
+    omega0's distance to the bands.  At omega0, F = -Gamma_S by definition."""
+    gap = (detect_bands(s) if bands is None else bands).gap_containing(arr.omega0)
     if gap is None:
-        raise RegimeError(f"omega0={omega0:g} lies inside a band")
-    dist = math.inf
-    for edge in gap:
-        if math.isfinite(edge):
-            dist = min(dist, abs(omega0 - edge))
-    return dist
+        raise RegimeError(f"omega0={arr.omega0:g} lies inside a band")
+    dist = min((abs(arr.omega0 - edge) for edge in gap if math.isfinite(edge)), default=math.inf)
+    c = arr._contact(s)
+    gam, fprime = _gamma_block(c, arr.omega0), overlap_matrix(s, arr, arr.omega0)
+    return gam, fprime, _contact_kets(c, arr.omega0) / np.sqrt(np.real(np.diag(fprime))), dist
 
 
 def effective_hamiltonian_many(
@@ -350,17 +337,9 @@ def effective_hamiltonian_many(
     ``omega0 + g**2 gamma^B(omega0)`` on the nose, so its eigenvalues coincide
     with the eigenvalue-branch estimates exposed in ``gamma_eigenvalues``.
     """
-    if bands is None:
-        bands = detect_bands(s)
-    dist = _gap_distance(bands, arr.omega0)
-    # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
-    c = arr._contact(s)
-    gam = _gamma_block(c, arr.omega0)
+    gam, _, basis, dist = _at_omega0(s, arr, bands)
     g2 = arr.g ** 2
     mat = arr.omega0 * np.eye(arr.m) + g2 * gam
-    # the single-emitter dressed states at omega0, each normalized alone
-    norms = np.real(np.diag(overlap_matrix(s, arr, arr.omega0)))
-    basis = _contact_kets(c, arr.omega0) / np.sqrt(norms)
     gammas = np.linalg.eigvalsh(gam)
     ratio = float(np.max(np.abs(g2 * np.diag(gam))) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(
@@ -387,16 +366,10 @@ def effective_hamiltonian_two(
     """
     if arr.m != 2:
         raise ValueError("effective_hamiltonian_two requires exactly two emitters")
-    if bands is None:
-        bands = detect_bands(s)
-    dist = _gap_distance(bands, arr.omega0)
+    gam, fprime, basis, dist = _at_omega0(s, arr, bands)
     g2 = arr.g ** 2
-    # at z = omega0, F = -Gamma_S by definition: the block is taken as it is
-    c = arr._contact(s)
-    gam = _gamma_block(c, arr.omega0)
     fdata = _with_pair_scalars(arr, complex(arr.omega0), -gam, gam)
     fm = fdata.matrix
-    fprime = overlap_matrix(s, arr, arr.omega0)
     n1 = float(np.real(fprime[0, 0]))
     n2 = float(np.real(fprime[1, 1]))
     asym = float(np.real(fdata.asymmetry))
@@ -405,7 +378,7 @@ def effective_hamiltonian_two(
     # the center's rounding: omega0 plus g**2 times N mode sums, each term of
     # which Cauchy-Schwarz bounds by sqrt(<x|G_B^2|x>) = sqrt(n_i - 1/g**2)
     center_tol = s.n_sites * np.finfo(float).eps * (
-        abs(arr.omega0) + g2 * math.sqrt(max(n1, n2, c.slope) - c.slope)
+        abs(arr.omega0) + g2 * math.sqrt(max(n1, n2, 1.0 / g2) - 1.0 / g2)
     )
     beta_p = asym * (n1 - n2) + split * (n1 + n2)
     beta_m = asym * (n1 - n2) - split * (n1 + n2)
@@ -465,7 +438,6 @@ def effective_hamiltonian_two(
         asymmetry=asym, splitting=split, shifted_center=center,
         h_s=h_s_n, h_a=h_a_n,
     )
-    basis = _contact_kets(c, arr.omega0) / scale
     gammas = np.linalg.eigvalsh(-fm)
     ratio = float(max(abs(g2 * fm[0, 0]), abs(g2 * fm[1, 1])) / dist) if math.isfinite(dist) else 0.0
     return EffectiveHamiltonian(
