@@ -293,8 +293,7 @@ def solve_two_atom_poles(
 
     def states_at(w: float, count: int) -> np.ndarray:
         # the null vectors of F(w): eigenvectors by ascending |eigenvalue|
-        z = complex(w)
-        fvals, fvecs = np.linalg.eigh(_pole_matrix(c, z, _gamma_block(c, z)))
+        fvals, fvecs = np.linalg.eigh(_pole_matrix(c, w, _gamma_block(c, w)))
         null = fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
         return _contact_states(c, w, null)[0]
 
