@@ -159,9 +159,11 @@ def _contact_states(c: Contact, w: float, null):
     """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of the contact's F.
 
     ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
-    Cholesky factor of ``psi^H psi``, ``psi = kets null``: Gram-Schmidt in the
-    order of ``null``.  A coupled mode within ``POLE_ATOL`` of a root is no
-    pole of the state and stays in the sum; only the rule's weak modes drop.
+    Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
+    ``null^H (slope + Gamma_S^2) null`` as the emitter sector holds
+    ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
+    A coupled mode within ``POLE_ATOL`` of a root is no pole of the state and
+    stays in the sum; only the rule's weak modes are dropped.
     Returns ``(states, L)``, or None where that Gram matrix is not positive.
     """
     psi = _contact_kets(c, w, strict=False) @ null
@@ -216,10 +218,12 @@ def _contact_roots(c: Contact, intervals, n_grid, xtol):
 
 
 def _emitter_roots(c: Contact, omega0, g, bands, n_grid, xtol, split=None):
-    """:func:`_contact_roots` in the gaps; ``|root - omega0| <= g`` bounds the tails."""
+    """:func:`_contact_roots` in the gaps of ``bands`` (detected if None), the
+    tails bounded by ``|root - omega0| <= g``."""
     levels = c.bath.eigenvalues
     intervals = _roots.gap_intervals(
-        bands, min(omega0, float(levels[0])) - g - 1.0, max(omega0, float(levels[-1])) + g + 1.0,
+        detect_bands(c.bath) if bands is None else bands,
+        min(omega0, float(levels[0])) - g - 1.0, max(omega0, float(levels[-1])) + g + 1.0,
         split=split,
     )
     return _contact_roots(c, intervals, n_grid, xtol)

@@ -238,8 +238,6 @@ def det_f_roots(
     reliable even when two roots almost coincide (they then sit on different
     branches).
     """
-    if bands is None:
-        bands = detect_bands(s)
     return _emitter_roots(arr._contact(s), arr.omega0, arr.g, bands, n_grid, xtol)
 
 
@@ -285,8 +283,6 @@ def solve_two_atom_poles(
     """
     if arr.m != 2:
         raise ValueError("solve_two_atom_poles requires exactly two emitters")
-    if bands is None:
-        bands = detect_bands(s)
     c = arr._contact(s)
     roots = _emitter_roots(c, arr.omega0, arr.g, bands, 256, xtol)  # det_f_roots' grid
     doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
