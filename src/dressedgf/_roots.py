@@ -2,12 +2,13 @@
 
 Impurity, vacancy, emitter and emitter-array bound states are all roots of the
 sorted eigenvalue branches of F(w) = (slope*w + offset) - Gamma_S(w), with
-Gamma_S the bath Green function projected on the M contact sites.  Each
-branch is strictly increasing between the bath poles (F' = slope + Gamma_S^2
-is the positive-definite Gram matrix of the dressed states), so sign changes
-on a scan grid pin down every root.  Grids are clustered geometrically
-towards pole endpoints to catch roots exponentially close to a band edge.
-Every search enters through :func:`dressedgf.impurity._contact_roots`.
+Gamma_S the bath Green function projected on the M contact sites.  F' =
+slope + Gamma_S^2 is positive definite (the Gram matrix of the dressed
+states), so by Weyl's inequality every sorted branch increases strictly
+between the bath poles: a branch has at most one root in a search interval,
+and the scan grid only narrows its bracket.  Only the innermost points of an
+interval decide whether a root is seen; one closer to an open end than its
+innermost point is missed.  Every search calls :func:`contact_roots`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from . import _kernels
 
 BISECT_XTOL = 1e-12
-_EDGE_MARGINS = (1e-13, 1e-10, 1e-7, 1e-4)
+#: Scan points per search interval: for one contact site, and for more.
+SCAN_POINTS = (64, 256)
 
 
 def gap_intervals(bands, lower, upper, split=None):
@@ -49,50 +51,46 @@ def gap_intervals(bands, lower, upper, split=None):
     return intervals
 
 
-def grid_for_interval(a: float, b: float, a_open: bool, b_open: bool, n_grid: int) -> np.ndarray:
-    """Scan grid on (a, b); open ends get geometrically shrinking margins.
+def scan_points(a: float, b: float, a_open: bool, b_open: bool, n: int):
+    """``n`` even points between the inner ends of (a, b); None with no float inside.
 
-    A margin never rounds onto an open end: the innermost point stays at
-    least one floating-point step inside.
+    A closed end is its own inner end; an open end's is ``1e-13 * (b - a)``
+    inside, or the nearest float inside if that rounds onto the end.
     """
+    if not np.nextafter(a, b) < b:
+        return None
     length = b - a
-    pts = [max(a + length * m, np.nextafter(a, b)) for m in _EDGE_MARGINS] if a_open else [a]
-    pts.extend(np.linspace(a + 1e-3 * length, b - 1e-3 * length, max(n_grid, 2)))
-    if b_open:
-        pts.extend(min(b - length * m, np.nextafter(b, a)) for m in _EDGE_MARGINS)
-    else:
-        pts.append(b)
-    return np.unique(np.asarray(pts, dtype=np.float64))
+    lo = max(a + 1e-13 * length, np.nextafter(a, b)) if a_open else a
+    hi = min(b - 1e-13 * length, np.nextafter(b, a)) if b_open else b
+    return np.linspace(lo, hi, n)
 
 
-def sign_change_brackets(xs: np.ndarray, fv: np.ndarray):
-    """Return (exact_roots, brackets) from grid values; brackets keep f signs.
+def branch_bracket(xs: np.ndarray, fv: np.ndarray):
+    """The one bracket (lo, hi) of an increasing branch scanned at ``xs``, or None.
 
-    Every grid point where f is exactly zero is a root.  A bracket
-    ``(lo, hi, f(lo), f(hi))`` joins neighbouring finite, nonzero values of
-    opposite sign; a non-finite value brackets nothing.
+    It runs from the last negative value to the next, non-negative one; an
+    exact zero there is the root, ``(x, x)``.  A non-finite end brackets nothing.
     """
-    left, right = fv[:-1], fv[1:]
-    ok = np.isfinite(left) & np.isfinite(right) & (left != 0.0) & (right != 0.0)
-    cross = np.flatnonzero(ok & ((left < 0.0) != (right < 0.0)))
-    brackets = [(float(xs[i]), float(xs[i + 1]), float(fv[i]), float(fv[i + 1])) for i in cross]
-    return xs[fv == 0.0].tolist(), brackets
+    neg = np.flatnonzero(fv < 0.0)
+    i = neg[-1] + 1 if neg.size else 0
+    if i == xs.size or not 0.0 <= fv[i] < math.inf:
+        return None
+    if fv[i] == 0.0:
+        return float(xs[i]), float(xs[i])
+    return (float(xs[i - 1]), float(xs[i])) if i and fv[i - 1] > -math.inf else None
 
 
-def bisect(f, lo: float, hi: float, flo: float, fhi: float, xtol: float = BISECT_XTOL,
-           max_iter: int = 200) -> float:
-    """Plain bisection on a bracket; works for either crossing direction."""
-    rising = flo < 0.0
+def bisect(f, lo: float, hi: float, max_iter: int = 200) -> float:
+    """Plain bisection of a rising crossing: ``f(lo) < 0 <= f(hi)``."""
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = f(mid)
-        if (fm < 0.0) == rising:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol:
+        if hi - lo <= BISECT_XTOL:
             break
     return 0.5 * (lo + hi)
 
@@ -108,7 +106,7 @@ def _branches(gam: np.ndarray, vectors: bool = False):
     return np.linalg.eigh(gam) if vectors else np.linalg.eigvalsh(gam)
 
 
-def pole_function_grid(weights, energies, xs, slope, offset) -> np.ndarray:
+def pole_function_scan(weights, energies, xs, slope, offset) -> np.ndarray:
     """The M sorted branches of F(w) = (slope*w + offset) - Gamma_S(w) on a real grid.
 
     Row ``n`` holds the branch values at ``xs[n]``, ascending in Gamma_S and
@@ -117,19 +115,19 @@ def pole_function_grid(weights, energies, xs, slope, offset) -> np.ndarray:
     return slope * xs[:, None] + offset - _branches(_kernels.mode_sum(weights, energies, xs))
 
 
-def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
-                  xtol: float = BISECT_XTOL):
+def contact_roots(weights, energies, slope, offset, intervals):
     """Roots of the M sorted branches of F(w) = (slope*w + offset) - Gamma_S(w).
 
     ``weights[i, j, k] = <x_i|k><k|x_j>`` are the pair weights of the bath
     modes at ``energies`` on the M contact sites, so ``Gamma_S(w)[i, j] =
     sum_k weights[i, j, k]/(w - energies[k])`` (:func:`_kernels.mode_sum`).
     ``intervals`` is an iterable of (a, b, a_open, b_open); open ends are
-    treated as poles or band edges and approached with shrinking margins.
-    Each bracketed root is bisected on its branch and Newton-polished with F'
-    = slope + v^H Gamma_S^2 v, v the branch eigenvector.  Returns the roots
-    of every branch, sorted ascending, with each branch deduplicated within
-    10*xtol: a root on two branches is listed twice.
+    poles or band edges.  Each interval is scanned at ``SCAN_POINTS[M > 1]``
+    points (:func:`scan_points`); each branch's one bracket
+    (:func:`branch_bracket`) is bisected and Newton-polished with F' = slope
+    + v^H Gamma_S^2 v, v the branch eigenvector.  Returns the roots of every
+    branch, sorted, each branch deduplicated within ``10 * BISECT_XTOL``: a
+    root on two branches is listed twice.
     """
     m = weights.shape[0]
 
@@ -159,17 +157,16 @@ def contact_roots(weights, energies, slope, offset, intervals, n_grid=512,
 
     found = [[] for _ in range(m)]
     for a, b_end, a_open, b_open in intervals:
-        if not (b_end > a):
+        xs = scan_points(a, b_end, a_open, b_open, SCAN_POINTS[m > 1])
+        if xs is None:
             continue
-        xs = grid_for_interval(a, b_end, a_open, b_open, n_grid)
-        values = pole_function_grid(weights, energies, xs, slope, offset)
+        values = pole_function_scan(weights, energies, xs, slope, offset)
         for b in range(m):
-            exact, brackets = sign_change_brackets(xs, values[:, b])
-            found[b].extend(exact)
-            for lo, hi, flo, fhi in brackets:
-                root = bisect(lambda w: f_branch(w, b), lo, hi, flo, fhi, xtol)
-                found[b].append(float(polish(root, b, lo, hi)))
-    return sorted(r for roots in found for r in dedupe(roots, 10.0 * xtol))
+            bracket = branch_bracket(xs, values[:, b])
+            if bracket is not None:  # an exact zero (x, x) bisects and polishes to x
+                root = bisect(lambda w: f_branch(w, b), *bracket)
+                found[b].append(float(polish(root, b, *bracket)))
+    return sorted(r for roots in found for r in dedupe(roots, 10.0 * BISECT_XTOL))
 
 
 def dedupe(roots, tol: float):

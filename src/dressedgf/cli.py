@@ -99,7 +99,7 @@ class RunConfig:
             self.delta = float(_positive(self.delta, "delta"))
         self.tol = float(_positive(raw.get("tol", 1e-9), "tol"))
         self.seed = _integer(raw, "seed", DEFAULT_SEED, minimum=0)
-        self.n_grid = _integer(raw, "n_grid", 512, minimum=2)
+        _integer(raw, "n_grid", 512, minimum=2)  # validated, then ignored: no grid to size
         self.k_indices = raw.get("k_indices")
         if self.k_indices is not None:
             if not isinstance(self.k_indices, list) or not all(
@@ -245,7 +245,7 @@ def cmd_bound_states(cfg: RunConfig, out: Path) -> int:
     emitter = _single_emitter(cfg)
     s = diagonalize_bath(cfg.bath_spec)
     bands = detect_bands(s, gap_factor=cfg.gap_factor)
-    states = solve_dressed_bound_states(s, emitter, bands, n_grid=cfg.n_grid)
+    states = solve_dressed_bound_states(s, emitter, bands)
     full = _dense_eigh(build_full_hamiltonian(cfg.bath_spec, [emitter]), vectors=False)
     rows = []
     for idx, bs in enumerate(states):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._roots import BISECT_XTOL
 from .bath import (
     BandStructure,
     Contact,
@@ -37,8 +38,6 @@ from .impurity import (
     _emitter_roots,
 )
 
-#: |F| below this at a real mode energy sends the mode through untouched.
-F_NODE_TOL = 1e-10
 #: amplitude below this counts as a node of the wavefunction.
 NODE_TOL = 1e-9
 
@@ -200,28 +199,29 @@ def solve_dressed_bound_states(
     s: SpectralData,
     e: EmitterSpec,
     bands: BandStructure | None = None,
-    n_grid: int = 64,
-    xtol: float = 1e-12,
+    n_grid: int | None = None,
+    xtol: float | None = None,
 ):
     """All discrete dressed states: in-gap roots of F plus the in-band VDS.
 
-    F is strictly increasing between its poles, so bracketing the gap
-    subintervals (split additionally at ``omega0``) finds every root; the two
+    F is strictly increasing between its poles, so each gap subinterval
+    (split additionally at ``omega0``) holds at most one root; the two
     half-infinite gaps are bounded using ``|root - omega0| <= g`` plus margin.
     A vanishing bath Green function at ``(omega0, site)`` adds the
     vacancy-dressed state even when ``omega0`` lies inside a band, where the
-    gap scan cannot see it.
+    gap search cannot see it.  ``n_grid`` and ``xtol`` are accepted and
+    ignored: the root finder has no knobs.
     """
     if bands is None:
         bands = detect_bands(s)
     c = e._contact(s)
-    roots = _emitter_roots(c, e.omega0, e.g, bands, n_grid, xtol, split=e.omega0)
+    roots = _emitter_roots(c, e.omega0, e.g, bands, split=e.omega0)
     # omega0 is a stationary point iff gamma(omega0) vanishes at the site
     try:
         vds = abs(complex(_gamma_block(c, complex(e.omega0))[0, 0])) < NODE_TOL
     except PoleError:
         vds = False
-    if vds and all(abs(e.omega0 - r) > 10 * xtol for r in roots):
+    if vds and all(abs(e.omega0 - r) > 10 * BISECT_XTOL for r in roots):
         roots = sorted(roots + [float(e.omega0)])
     return [_bound_state(c, e, w, bands) for w in roots]
 
@@ -235,10 +235,10 @@ def dressed_scattering_state(
     """Scattering eigenstate built on bath mode ``k_index``.
 
     The branch is decided by F at the real mode energy: a genuine pole of F
-    there (the generic case) or any value in modulus above ``F_NODE_TOL``
-    takes the regular branch, evaluated at ``energy + 1j*delta``; F vanishing
-    at the mode energy means the mode cannot couple and passes through as an
-    exact eigenstate with zero atomic amplitude.
+    there (the generic case) or any value in modulus above the engine's
+    ``impurity.NODE_TOL`` takes the regular branch, evaluated at ``energy +
+    1j*delta``; F vanishing at the mode energy means the mode cannot couple
+    and passes through as an exact eigenstate with zero atomic amplitude.
     """
     if delta is None:
         delta = default_delta(s)
@@ -277,7 +277,7 @@ def _scattering_chunks(s, e, k_indices, delta):
     x_0..x_{N-1}]``.
     """
     for ks, omega, regular, coupling, photonic in _contact_scattering(
-        e._contact(s), k_indices, delta, F_NODE_TOL
+        e._contact(s), k_indices, delta
     ):
         states = np.empty((s.n_sites + 1, ks.size), dtype=np.complex128)
         states[0] = coupling * (1.0 / e.g)

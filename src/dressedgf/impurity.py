@@ -39,6 +39,7 @@ VACANCY = math.inf
 #: POLE_TOL or its condition number above COND_LIMIT.
 POLE_TOL = 1e-13
 COND_LIMIT = 1e13
+#: |f| below this at a mode's real energy sends the mode through untouched.
 NODE_TOL = 1e-10
 #: Modes per batch of the scattering core: its temporaries stay O(N * chunk).
 SCATTER_CHUNK = 32
@@ -174,10 +175,10 @@ def _contact_states(c: Contact, w: float, null):
     return psi @ np.conj(np.linalg.inv(chol).T), chol
 
 
-def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
+def _contact_scattering(c: Contact, k_indices, delta: float):
     """Scattering branch of a one-site contact on the bath modes ``k_indices``.
 
-    A mode with ``|f| < node_tol`` at its real energy omega passes through
+    A mode with ``|f| < NODE_TOL`` at its real energy omega passes through
     untouched; any other takes ``mode + coupling * G_B(z)|site>``, ``coupling
     = mode[site] / f(z)`` at ``z = omega + 1j*delta``.  Yields ``(ks, omega,
     regular, coupling, vectors)`` per chunk of at most ``SCATTER_CHUNK`` modes.
@@ -199,7 +200,7 @@ def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
         for i in np.flatnonzero(~regular):
             w = float(omega[i])
             f_real = _contact_f(c, w, complex(_gamma_block(c, w)[0, 0]))
-            regular[i] = not abs(f_real) < node_tol
+            regular[i] = not abs(f_real) < NODE_TOL
         z = omega + 1j * delta
         f = _contact_f(c, z, _kernels.mode_sum(c.weights, energies, z)[:, 0, 0])
         coupling = np.zeros(kc.size, dtype=np.complex128)
@@ -210,15 +211,8 @@ def _contact_scattering(c: Contact, k_indices, delta: float, node_tol):
         yield kc, omega, regular, coupling, states
 
 
-def _contact_roots(c: Contact, intervals, n_grid, xtol):
-    """Roots of the M branches of F on ``intervals``: the one root-finder entry."""
-    return _roots.contact_roots(
-        c.weights, c.bath.eigenvalues, c.slope, c.offset, intervals, n_grid, xtol
-    )
-
-
-def _emitter_roots(c: Contact, omega0, g, bands, n_grid, xtol, split=None):
-    """:func:`_contact_roots` in the gaps of ``bands`` (detected if None), the
+def _emitter_roots(c: Contact, omega0, g, bands, split=None):
+    """Roots of the contact's F in the gaps of ``bands`` (detected if None), the
     tails bounded by ``|root - omega0| <= g``."""
     levels = c.bath.eigenvalues
     intervals = _roots.gap_intervals(
@@ -226,7 +220,7 @@ def _emitter_roots(c: Contact, omega0, g, bands, n_grid, xtol, split=None):
         min(omega0, float(levels[0])) - g - 1.0, max(omega0, float(levels[-1])) + g + 1.0,
         split=split,
     )
-    return _contact_roots(c, intervals, n_grid, xtol)
+    return _roots.contact_roots(c.weights, levels, c.slope, c.offset, intervals)
 
 
 def impurity_green(s: SpectralData, spec: ImpuritySpec, z: complex) -> np.ndarray:
@@ -261,15 +255,16 @@ def solve_impurity_bound_state(
     s: SpectralData,
     spec: ImpuritySpec,
     bands: BandStructure | None = None,
-    n_grid: int = 512,
-    xtol: float = 1e-12,
+    n_grid: int | None = None,
+    xtol: float | None = None,
 ):
     """All in-gap bound states of the impurity problem.
 
-    Scans each gap of the band structure on a grid, brackets sign changes of
-    the monotone pole function and bisects.  For finite strength the single
-    out-of-band root (above for repulsive, below for attractive) is included;
-    the vacancy spectrum interlaces the bath one, so it has no tail roots.
+    The pole function increases between bath poles, so each gap holds at
+    most one root.  For finite strength the single out-of-band root (above
+    for repulsive, below for attractive) is included; the vacancy spectrum
+    interlaces the bath one, so it has no tail roots.  ``n_grid`` and
+    ``xtol`` are accepted and ignored: the root finder has no knobs.
     """
     if bands is None:
         bands = detect_bands(s)
@@ -284,7 +279,7 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
     states = []
-    for w in _contact_roots(c, intervals, n_grid, xtol):
+    for w in _roots.contact_roots(c.weights, s.eigenvalues, c.slope, c.offset, intervals):
         built = _contact_states(c, w, np.ones((1, 1)))
         if built is None:
             continue
@@ -312,9 +307,7 @@ def impurity_scattering_state(
     """
     if delta is None:
         delta = default_delta(s)
-    (_, omega, regular, _, states), = _contact_scattering(
-        spec._contact(s), [k_index], delta, NODE_TOL
-    )
+    (_, omega, regular, _, states), = _contact_scattering(spec._contact(s), [k_index], delta)
     return ImpurityScatteringState(
         k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),
         residual=float(_scattering_residuals(s, spec, omega, states)[0]),

@@ -172,12 +172,16 @@ def overlap_matrix(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.n
     ``<Psi_i|Psi_j> = delta_ij/g**2 + <x_i|G_B(omega)**2|x_j>``; positive
     semidefinite wherever it exists, and exactly the derivative F'(omega).
     """
+    return _overlap(arr._contact(s), omega)
+
+
+def _overlap(c: Contact, omega: float) -> np.ndarray:
+    """F'(omega) = slope + Gamma_S^2 of the contact: :func:`overlap_matrix`."""
     omega = complex(omega)
     if omega.imag != 0.0:
         raise ValueError("overlap matrix is defined at real energies only")
-    c = arr._contact(s)
     out = _gamma_block(c, omega, 2)
-    out[np.diag_indices(arr.m)] += c.slope
+    out[np.diag_indices(len(c.sites))] += c.slope
     return out
 
 
@@ -227,18 +231,18 @@ def det_f_roots(
     s: SpectralData,
     arr: EmitterArraySpec,
     bands: BandStructure | None = None,
-    n_grid: int = 256,
-    xtol: float = 1e-12,
+    n_grid: int | None = None,
+    xtol: float | None = None,
 ):
     """Every in-gap root of det F, with multiplicity across branches.
 
     det F factorizes over the sorted eigenvalue branches of the site-projected
     bath Green function; each branch function ``(w - omega0)/g**2 - mu_b(w)``
-    is strictly increasing between bath poles, so per-branch bracketing is
-    reliable even when two roots almost coincide (they then sit on different
-    branches).
+    is strictly increasing between bath poles, so it has at most one root per
+    gap, and two roots that almost coincide sit on different branches.
+    ``n_grid`` and ``xtol`` are accepted and ignored: the finder has no knobs.
     """
-    return _emitter_roots(arr._contact(s), arr.omega0, arr.g, bands, n_grid, xtol)
+    return _emitter_roots(arr._contact(s), arr.omega0, arr.g, bands)
 
 
 def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -> np.ndarray:
@@ -252,8 +256,10 @@ def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -
     """
     if arr.m != 2:
         raise ValueError("residue coefficients are defined for exactly two emitters")
-    fm = f_matrix(s, arr, complex(omega)).matrix
-    fprime = overlap_matrix(s, arr, omega)
+    c = arr._contact(s)
+    z = complex(omega)
+    fm = _pole_matrix(c, z, _gamma_block(c, z))
+    fprime = _overlap(c, omega)
     g2 = arr.g ** 2
     adj = np.array([[fm[1, 1], -fm[0, 1]], [-fm[1, 0], fm[0, 0]]], dtype=np.complex128)
     beta = g2 * (
@@ -273,18 +279,19 @@ def solve_two_atom_poles(
     s: SpectralData,
     arr: EmitterArraySpec,
     bands: BandStructure | None = None,
-    xtol: float = 1e-12,
+    xtol: float | None = None,
 ) -> TwoAtomPoles:
     """In-gap pole doublet of two emitters, with normalized residue states.
 
     All in-gap roots of det F are located; the two closest to ``omega0`` form
     the doublet.  Each residue state is the null-vector combination of the
     dressed states at the exact root, normalized in the full space.
+    ``xtol`` is accepted and ignored, as in :func:`det_f_roots`.
     """
     if arr.m != 2:
         raise ValueError("solve_two_atom_poles requires exactly two emitters")
     c = arr._contact(s)
-    roots = _emitter_roots(c, arr.omega0, arr.g, bands, 256, xtol)  # det_f_roots' grid
+    roots = _emitter_roots(c, arr.omega0, arr.g, bands)
     doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
 
     def states_at(w: float, count: int) -> np.ndarray:
@@ -315,7 +322,7 @@ def _at_omega0(s: SpectralData, arr: EmitterArraySpec, bands):
         raise RegimeError(f"omega0={arr.omega0:g} lies inside a band")
     dist = min((abs(arr.omega0 - edge) for edge in gap if math.isfinite(edge)), default=math.inf)
     c = arr._contact(s)
-    gam, fprime = _gamma_block(c, arr.omega0), overlap_matrix(s, arr, arr.omega0)
+    gam, fprime = _gamma_block(c, arr.omega0), _overlap(c, arr.omega0)
     return gam, fprime, _contact_kets(c, arr.omega0) / np.sqrt(np.real(np.diag(fprime))), dist
 
 

@@ -17,12 +17,15 @@ from dressedgf import (
     build_uniform_chain,
     det_f_roots,
     diagonalize_bath,
+    effective_hamiltonian_many,
+    effective_hamiltonian_two,
     green_column,
     green_matrix,
     impurity_green,
     impurity_pole_function,
     impurity_scattering_state,
     impurity_state,
+    residue_coefficients,
     solve_dressed_bound_states,
     solve_impurity_bound_state,
     solve_two_atom_poles,
@@ -400,7 +403,14 @@ def _side_level_pair():
     (det_f_roots, _chain_with_side_level(1.2e-5), _side_level_pair(), {"weights": 1, "key": 0}),
     (solve_two_atom_poles, _chain_with_side_level(1.2e-5), _side_level_pair(),
      {"weights": 1, "key": 0}),
-], ids=["solve_dressed_bound_states", "det_f_roots", "solve_two_atom_poles"])
+    (effective_hamiltonian_two, _chain_with_side_level(1.2e-5), _side_level_pair(),
+     {"weights": 1, "key": 0}),
+    (effective_hamiltonian_many, _chain_with_side_level(1.2e-5), _side_level_pair(),
+     {"weights": 1, "key": 0}),
+    (lambda s, arr: residue_coefficients(s, arr, 2.6).size, _chain_with_side_level(1.2e-5),
+     _side_level_pair(), {"weights": 1, "key": 0}),
+], ids=["solve_dressed_bound_states", "det_f_roots", "solve_two_atom_poles",
+        "effective_hamiltonian_two", "effective_hamiltonian_many", "residue_coefficients"])
 def test_pair_weights_and_key_are_built_once_per_call(monkeypatch, solve, bath_spec, spec,
                                                       built):
     s = diagonalize_bath(bath_spec)
@@ -431,10 +441,10 @@ def test_every_bath_sum_reaches_the_one_kernel(monkeypatch):
         "bath_green_element": lambda: bath_green_element(s, 0.3 + 0.1j, 2, 5),
         "bath_green_squared_element": lambda: bath_green_squared_element(s, 2.5, 3, 3),
         "_gamma_block": lambda: bath._gamma_block(bath.Contact(s, (1, 4, 6)), 2.5j),
-        "_contact_roots": lambda: impurity._contact_roots(
-            bath.Contact(s, (3,), 0.0, 1.0), [(2.0, 5.0, True, False)], 16, 1e-12),
+        "solve_impurity_bound_state": lambda: solve_impurity_bound_state(
+            s, ImpuritySpec(3, 1.0)),
         "_contact_scattering": lambda: list(impurity._contact_scattering(
-            bath.Contact(s, (3,), 0.0, 1.0), [0, 5], 1e-8, impurity.NODE_TOL)),
+            bath.Contact(s, (3,), 0.0, 1.0), [0, 5], 1e-8)),
     }
     reached = {}
     for name, call in entries.items():

@@ -47,7 +47,7 @@ def test_pole_function_grid_matches_numpy():
     grid = np.linspace(2.1, 5.0, 200)
     for omega0, g in [(2.5, 0.3), (-3.0, 0.7)]:
         slope, offset = 1.0 / g**2, -omega0 / g**2
-        got = _roots.pole_function_grid(weights[None, None], energies, grid, slope, offset)
+        got = _roots.pole_function_scan(weights[None, None], energies, grid, slope, offset)
         ref = np.array([
             slope * w + offset - _loop_sum(weights, energies, w).real for w in grid
         ])

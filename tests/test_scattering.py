@@ -67,7 +67,7 @@ def test_batched_impurity_matches_single_modes(bath, strength, monkeypatch):
     for site in sites:
         spec = ImpuritySpec(site=site, strength=strength)
         chunks = list(impurity._contact_scattering(
-            spec._contact(s), range(s.n_sites), delta, impurity.NODE_TOL))
+            spec._contact(s), range(s.n_sites), delta))
         assert [c[0].size for c in chunks][:-1] == [16] * (len(chunks) - 1)
         for ks, omega, regular, _, states in chunks:
             residuals = impurity._scattering_residuals(s, spec, omega, states)
@@ -138,7 +138,7 @@ def test_core_rejects_bad_index_site_and_delta():
 
     def run(ks, site=2, delta=1e-8):
         contact = ImpuritySpec(site=site, strength=spec.strength)._contact(s)
-        return list(impurity._contact_scattering(contact, ks, delta, 1e-10))
+        return list(impurity._contact_scattering(contact, ks, delta))
 
     with pytest.raises(ValueError, match="k_index 6"):
         run([0, 6])
