@@ -129,6 +129,20 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_n_grid_is_accepted_and_ignored(tmp_path):
+    # the root finder has no grid to size: any valid n_grid writes the same bytes
+    outs = []
+    for n_grid in (None, 2, 4096):
+        payload = dict(CHAIN_BOUND) if n_grid is None else {**CHAIN_BOUND, "n_grid": n_grid}
+        cfg = _write_config(tmp_path, f"run-{n_grid}.json", payload)
+        out = tmp_path / f"out-{n_grid}"
+        out.mkdir()
+        assert cli.main(["bound-states", "--config", cfg, "--out", str(out)]) == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("bound_states.csv", "wavefunctions.csv")])
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_scattering_respects_k_subset(tmp_path):
     cfg = _write_config(tmp_path, "run.json", {
         "bath": {"builder": "chain", "n_sites": 12, "omega_c": 0.0, "j": 1.0},

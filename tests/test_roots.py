@@ -97,6 +97,10 @@ def test_sign_change_brackets_exact_zero_on_grid_point():
     # the zero is the root, also on the first point with no negative value
     assert _roots.branch_bracket(xs, np.array([-1.0, 0.0, 2.0, 3.0])) == (1.0, 1.0)
     assert _roots.branch_bracket(xs, np.array([0.0, 1.0, 2.0, 3.0])) == (0.0, 0.0)
+    # through the finder: F(w) = w - 1/w is exactly zero at the shared end 1.0
+    weights, energies = np.ones((1, 1, 1)), np.zeros(1)
+    intervals = [(0.5, 1.0, False, False), (1.0, 3.0, False, False)]
+    assert _roots.contact_roots(weights, energies, 1.0, 0.0, intervals) == [1.0]
 
 
 def test_sign_change_brackets_skip_non_finite_values():
