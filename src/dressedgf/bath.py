@@ -56,14 +56,17 @@ class BathSpec:
             raise ValueError(
                 f"expected {self.n_sites} frequencies, got {len(self.frequencies)}"
             )
+        if not all(map(math.isfinite, self.frequencies)):
+            raise ValueError("frequencies must be finite")
         seen = set()
-        for edge in self.hoppings:
-            x, xp, amp = edge
+        for x, xp, amp in self.hoppings:
             for idx in (x, xp):
                 if not (0 <= idx < self.n_sites):
                     raise ValueError(f"hopping site {idx} out of range 0..{self.n_sites - 1}")
             if x == xp:
                 raise ValueError(f"hopping ({x}, {xp}): self-loop; use frequencies")
+            if not np.isfinite(amp):
+                raise ValueError(f"hopping ({x}, {xp}): amplitude must be finite")
             key = (min(x, xp), max(x, xp))
             if key in seen:
                 raise ValueError(f"duplicate edge ({x}, {xp})")
@@ -477,8 +480,8 @@ def detect_bands(s: SpectralData, gap_factor: float = DEFAULT_GAP_FACTOR) -> Ban
 
 def _bands_from_levels(evals: np.ndarray, gap_factor: float) -> BandStructure:
     """:func:`detect_bands` on the sorted eigenvalues alone."""
-    if gap_factor <= 0:
-        raise ValueError("gap_factor must be positive")
+    if not 0 < gap_factor < math.inf:
+        raise ValueError("gap_factor must be positive and finite")
     if evals.shape[0] == 1:
         bands = ((float(evals[0]), float(evals[0])),)
     else:

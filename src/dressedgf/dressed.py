@@ -31,10 +31,10 @@ from .bath import (
 from .errors import PoleError
 from .impurity import (
     POLE_TOL,
+    _bound_states,
     _contact_f,
     _contact_resolvent,
     _contact_scattering,
-    _contact_states,
     _emitter_roots,
 )
 
@@ -51,6 +51,8 @@ class EmitterSpec:
     site: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.omega0) and np.isfinite(self.g)):
+            raise ValueError(f"omega0 and g must be finite, got {self.omega0} and {self.g}")
         if self.g <= 0:
             raise ValueError(f"coupling g must be positive, got {self.g}")
 
@@ -180,21 +182,6 @@ def field_green(s: SpectralData, e: EmitterSpec, z: complex) -> np.ndarray:
     return _contact_resolvent(replace(e._contact(s), amplitude=None), z, "field")[0]
 
 
-def _bound_state(c, e, omega, bands) -> BoundState:
-    states, chol = _contact_states(c, omega, np.ones((1, 1)))
-    vec = states[:, 0]
-    # <site|G_B(omega)|site>, the unnormalized photonic amplitude at the site
-    gamma = vec[1 + e.site] * chol[0, 0].real
-    return BoundState(
-        energy=float(omega),
-        atomic_amplitude=float(vec[0].real),
-        photonic=vec[1:],
-        norm_factor=float(vec[0].real),
-        in_band=bands.in_band(omega),
-        is_vds=bool(abs(omega - e.omega0) < NODE_TOL and abs(gamma) < NODE_TOL),
-    )
-
-
 def solve_dressed_bound_states(
     s: SpectralData,
     e: EmitterSpec,
@@ -223,7 +210,12 @@ def solve_dressed_bound_states(
         vds = False
     if vds and all(abs(e.omega0 - r) > 10 * BISECT_XTOL for r in roots):
         roots = sorted(roots + [float(e.omega0)])
-    return [_bound_state(c, e, w, bands) for w in roots]
+    # v[1 + site] * n is <site|G_B(x)|site>, the unnormalized photonic amplitude at the site
+    return [BoundState(energy=float(x), atomic_amplitude=float(v[0].real), photonic=v[1:],
+                       norm_factor=float(v[0].real), in_band=bands.in_band(x),
+                       is_vds=bool(abs(x - e.omega0) < NODE_TOL
+                                   and abs(v[1 + e.site] * n) < NODE_TOL))
+            for x, v, n in zip(*_bound_states(c, roots))]
 
 
 def dressed_scattering_state(

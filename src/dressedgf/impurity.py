@@ -52,6 +52,10 @@ class ImpuritySpec:
     site: int
     strength: float
 
+    def __post_init__(self):
+        if math.isnan(self.strength):
+            raise ValueError("impurity strength must not be NaN; use VACANCY for a deleted site")
+
     @property
     def is_vacancy(self) -> bool:
         return math.isinf(self.strength)
@@ -156,23 +160,42 @@ def _contact_kets(c: Contact, w: complex, strict: bool = True) -> np.ndarray:
     return kets
 
 
-def _contact_states(c: Contact, w: float, null):
-    """Orthonormal bound states ``kets null L^-H`` at a real root ``w`` of the contact's F.
+def _null_vectors(f: np.ndarray, count: int) -> np.ndarray:
+    """``count`` null vectors of the pole matrix ``f``: eigenvectors by ascending |eigenvalue|."""
+    fvals, fvecs = np.linalg.eigh(f)
+    return fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
 
-    ``null`` holds null vectors of F(w) (``[[1]]`` for one site); L is the
-    Cholesky factor of ``psi^H psi``, ``psi = kets null``, which equals
-    ``null^H (slope + Gamma_S^2) null`` as the emitter sector holds
-    ``amplitude**2 = slope``; so this is Gram-Schmidt in the order of ``null``.
-    A coupled mode within ``POLE_ATOL`` of a root is no pole of the state and
-    stays in the sum; only the rule's weak modes are dropped.
-    Returns ``(states, L)``, or None where that Gram matrix is not positive.
+
+def _bound_states(c: Contact, roots):
+    """Orthonormal bound states at the sorted real ``roots`` of the contact's F.
+
+    Up to M roots within a relative 1e-9 of a group's first root are one root
+    that several branches list; its kets ``psi = kets null`` take as many null
+    vectors of F there (``[[1]]`` for one site), normalized by the Cholesky
+    factor L of ``psi^H psi = null^H (slope + Gamma_S^2) null`` (the emitter
+    sector holds ``amplitude**2 = slope``): Gram-Schmidt in the order of
+    ``null``.  A group whose Gram matrix is not positive is skipped.  A coupled
+    mode within ``POLE_ATOL`` of a root stays in the kets; weak modes do not.
+    Returns lists ``(w, states, L)``: each kept root, its state, its entry of diag(L).
     """
-    psi = _contact_kets(c, w, strict=False) @ null
-    try:
-        chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
-    except np.linalg.LinAlgError:
-        return None
-    return psi @ np.conj(np.linalg.inv(chol).T), chol
+    m = len(c.sites)
+    energies, states, norms = [], [], []
+    start = 0
+    while start < len(roots):
+        w = roots[start]
+        group = [r for r in roots[start:start + m] if abs(r - w) < 1e-9 * max(1.0, abs(w))]
+        start += len(group)
+        null = np.ones((1, 1)) if m == 1 else _null_vectors(
+            _pole_matrix(c, w, _gamma_block(c, w)), len(group))
+        psi = _contact_kets(c, w, strict=False) @ null
+        try:
+            chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
+        except np.linalg.LinAlgError:
+            continue
+        energies += group
+        states += list((psi @ np.conj(np.linalg.inv(chol).T)).T)
+        norms += list(np.diag(chol).real)
+    return energies, states, norms
 
 
 def _contact_scattering(c: Contact, k_indices, delta: float):
@@ -278,19 +301,10 @@ def solve_impurity_bound_state(
         None if spec.is_vacancy or v > 0.0 else float(s.eigenvalues[0]) - abs(v) - 1.0,
         None if spec.is_vacancy or v < 0.0 else float(s.eigenvalues[-1]) + v + 1.0,
     )
-    states = []
-    for w in _roots.contact_roots(c.weights, s.eigenvalues, c.slope, c.offset, intervals):
-        built = _contact_states(c, w, np.ones((1, 1)))
-        if built is None:
-            continue
-        wavefunction, chol = built[0][:, 0], built[1]
-        states.append(ImpurityBoundState(
-            energy=float(w),
-            wavefunction=wavefunction,
-            norm_factor=float(1.0 / chol[0, 0].real),
-            residue_trace=float(np.vdot(wavefunction, wavefunction).real),
-        ))
-    return states
+    roots = _roots.contact_roots(c.weights, s.eigenvalues, c.slope, c.offset, intervals)
+    return [ImpurityBoundState(energy=float(x), wavefunction=v, norm_factor=float(1.0 / n),
+                               residue_trace=float(np.vdot(v, v).real))
+            for x, v, n in zip(*_bound_states(c, roots))]
 
 
 def impurity_scattering_state(

@@ -21,10 +21,11 @@ from .bath import BandStructure, Contact, SpectralData, _gamma_block, detect_ban
 from .errors import PoleError, RegimeError
 from .impurity import (
     POLE_TOL,
+    _bound_states,
     _contact_kets,
     _contact_resolvent,
-    _contact_states,
     _emitter_roots,
+    _null_vectors,
     _pole_matrix,
 )
 
@@ -203,6 +204,8 @@ def t_matrix_series_green(
     not raised: the returned report carries the spectral radius and the
     per-order max-abs residuals against the closed form.
     """
+    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     z = complex(z)
     if abs(z - arr.omega0) < POLE_TOL:
         raise PoleError(f"bare emitter pole at z={z}")
@@ -269,8 +272,7 @@ def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -
     scale = g2 * float(np.linalg.norm(fm)) * float(np.linalg.norm(fprime))
     if abs(beta) > 1e-8 * max(scale, 1e-300):
         return g2 * adj / beta
-    evals, evecs = np.linalg.eigh(fm)
-    null = evecs[:, int(np.argmin(np.abs(evals)))]
+    null = _null_vectors(fm, 1)[:, 0]
     amp = float(np.real(np.conj(null) @ fprime @ null))
     return np.outer(null, np.conj(null)) / amp
 
@@ -292,20 +294,8 @@ def solve_two_atom_poles(
         raise ValueError("solve_two_atom_poles requires exactly two emitters")
     c = arr._contact(s)
     roots = _emitter_roots(c, arr.omega0, arr.g, bands)
-    doublet = sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2])
-
-    def states_at(w: float, count: int) -> np.ndarray:
-        # the null vectors of F(w): eigenvectors by ascending |eigenvalue|
-        fvals, fvecs = np.linalg.eigh(_pole_matrix(c, w, _gamma_block(c, w)))
-        null = fvecs[:, np.argsort(np.abs(fvals), kind="stable")[:count]]
-        return _contact_states(c, w, null)[0]
-
-    if len(doublet) == 2 and abs(doublet[1] - doublet[0]) < 1e-9 * max(1.0, abs(doublet[0])):
-        # The roots coincide below root-finder resolution (distant atoms): F has
-        # a 2D near-null space there; both states come from it at once.
-        states = list(states_at(doublet[0], 2).T)
-    else:
-        states = [states_at(w, 1)[:, 0] for w in doublet]
+    doublet, states, _ = _bound_states(
+        c, sorted(sorted(roots, key=lambda w: abs(w - arr.omega0))[:2]))
     if len(doublet) == 1 and doublet[0] > arr.omega0:
         # a lone pole above omega0 is the plus pole
         doublet, states = [None] + doublet, [None] + states

@@ -9,6 +9,8 @@ from dressedgf import (
     BathSpec,
     BranchError,
     ConfigError,
+    EmitterSpec,
+    ImpuritySpec,
     PoleError,
     analytic_chain_green,
     bath_green_element,
@@ -453,3 +455,31 @@ def test_finite_chain_matches_analytic_off_diagonal():
     for d in (0, 1, 3, 7):
         got = bath_green_element(s, z, 100, 100 + d)
         assert abs(got - analytic_chain_green(z, 0.0, 1.0, d)) < 1e-10
+
+
+def _chain_bands(gap_factor):
+    return detect_bands(diagonalize_bath(build_uniform_chain(6, 0.0, 1.0)), gap_factor)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BathSpec(2, (math.nan, 0.0), ((0, 1, 1.0),)),
+    lambda: BathSpec(2, (0.0, -math.inf), ((0, 1, 1.0),)),
+    lambda: BathSpec(2, (0.0, 0.0), ((0, 1, complex(math.inf, 0.0)),)),
+    lambda: BathSpec(2, (0.0, 0.0), ((0, 1, complex(1.0, math.nan)),)),
+    lambda: EmitterSpec(2.5, math.nan, 3),
+    lambda: EmitterSpec(2.5, math.inf, 3),
+    lambda: EmitterSpec(math.nan, 0.1, 3),
+    lambda: EmitterSpec(-math.inf, 0.1, 3),
+    lambda: ImpuritySpec(3, math.nan),
+    lambda: _chain_bands(math.nan),
+    lambda: _chain_bands(math.inf),
+], ids=["nan-frequency", "inf-frequency", "inf-hopping", "nan-hopping", "nan-g", "inf-g",
+        "nan-omega0", "inf-omega0", "nan-impurity", "nan-gap-factor", "inf-gap-factor"])
+def test_specs_reject_non_finite_numbers(make):
+    """A non-finite number raises at once, not a wrong result or a stray RuntimeWarning.
+
+    An infinite impurity strength of either sign stays the vacancy.
+    """
+    with pytest.raises(ValueError):
+        make()
+    assert ImpuritySpec(3, math.inf).is_vacancy and ImpuritySpec(3, -math.inf).is_vacancy

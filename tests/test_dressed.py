@@ -11,8 +11,10 @@ from dressedgf import (
     ImpuritySpec,
     PoleError,
     build_full_hamiltonian,
+    build_ssh_chain,
     build_uniform_chain,
     classify_vds,
+    compare,
     detect_bands,
     diagonalize_bath,
     dressed_green,
@@ -362,3 +364,16 @@ def test_classify_vds_mode_collision():
     res = classify_vds(s, EmitterSpec(omega0=1.0, g=0.2, site=0))
     assert not res.is_vds and res.kind == "none"
     assert "collides" in res.detail
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 3(ix): the finder returns a non-root next to a"
+                   " weakly coupled edge level, whose state repeats the emitter-like one")
+@pytest.mark.parametrize("omega0", [-0.1, 0.1])
+def test_states_next_to_weakly_coupled_edge_level_are_orthogonal(omega0):
+    spec = build_ssh_chain(100, 0.0, 0.5, 1.0)
+    e = EmitterSpec(omega0, 0.1, 40)
+    states = solve_dressed_bound_states(diagonalize_bath(spec), e)
+    vecs = np.array([b.vector() for b in states]).T
+    overlap = np.abs(np.conj(vecs.T) @ vecs - np.eye(len(states)))
+    assert overlap.max() < 1e-8
+    assert compare(spec, [e]).all_passed

@@ -636,3 +636,66 @@ def test_effective_two_requires_two_emitters():
     s = diagonalize_bath(build_uniform_chain(5, 0.0, 1.0))
     with pytest.raises(ValueError, match="two emitters"):
         effective_hamiltonian_two(s, EmitterArraySpec(emitters=(EmitterSpec(2.5, 0.3, 1),)))
+
+
+@pytest.mark.parametrize("k_max", [-1, 2.5])
+def test_t_matrix_series_rejects_k_max_that_is_no_order(k_max):
+    s = diagonalize_bath(build_uniform_chain(8, 0.0, 1.0))
+    with pytest.raises(ValueError, match="k_max"):
+        t_matrix_series_green(s, _pair(2.5, 0.1, 2, 4), 0.1 + 1.0j, k_max=k_max)
+
+
+def _array_bath(name):
+    """Spec, spectral data, the solver's bands and the physical band intervals of a bath.
+
+    The physical bands of the topological SSH chain leave out its edge pair,
+    which ``detect_bands`` reads as a zero-width band (ROADMAP 3(ii)).
+    """
+    if name.startswith("gapped"):
+        spec, s, bands = random_gapped_bath(np.random.default_rng(int(name[-1])), 5, 5)
+        return spec, s, bands, bands.bands
+    spec = {"chain": lambda: build_uniform_chain(200, 0.0, 1.0),
+            "ssh-trivial": lambda: build_ssh_chain(100, 0.0, 1.0, 0.5),
+            "ssh-topological": lambda: build_ssh_chain(100, 0.0, 0.5, 1.0)}[name]()
+    s = diagonalize_bath(spec)
+    bands = bath.detect_bands(s)
+    lv, half = s.eigenvalues, s.n_sites // 2
+    physical = {"chain": [(lv[0], lv[-1])],
+                "ssh-trivial": [(lv[0], lv[half - 1]), (lv[half], lv[-1])],
+                "ssh-topological": [(lv[0], lv[half - 2]), (lv[half + 1], lv[-1])]}[name]
+    return spec, s, bands, physical
+
+
+_EDGE_PAIR_MISSED = pytest.mark.xfail(
+    strict=True, reason="ROADMAP 3(ii): the edge pair read as a band hides two in-gap levels")
+
+
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("name, omega0", [
+    ("chain", 2.3), ("chain", 2.0005), ("ssh-trivial", 0.0), ("ssh-trivial", 0.2),
+    ("gapped-0", 0.1), ("gapped-1", 0.1), ("gapped-2", 0.1), ("gapped-3", 0.1),
+    pytest.param("ssh-topological", 0.2, marks=_EDGE_PAIR_MISSED),
+])
+def test_bound_states_at_det_f_roots_match_dense_eigensystem(name, omega0, m):
+    """The builder's states at every root of an array: count, energies, residuals, orthonormality.
+
+    On the trivial SSH chain at omega0 = 0 every site of one sublattice has
+    Gamma(0) = 0, so all M branches share the root 0 and its states come from
+    M null vectors at once.
+    """
+    spec, s, bands, physical = _array_bath(name)
+    sites = list(range(m)) if s.n_sites < 40 else [40 + 8 * k for k in range(m)]
+    arr = EmitterArraySpec(tuple(EmitterSpec(omega0, 0.1, x) for x in sites))
+    w, states, _ = impurity._bound_states(arr._contact(s), det_f_roots(s, arr, bands))
+    h = build_full_hamiltonian(spec, arr)
+    width = s.spectral_width
+    # bath levels of a cluster no site touches stay levels of H, on a band edge to rounding
+    pad = 1e-12 * width
+    dense = [x for x in np.linalg.eigvalsh(h)
+             if all(x < lo - pad or x > hi + pad for lo, hi in physical)]
+    assert len(w) == len(dense)
+    np.testing.assert_allclose(w, dense, rtol=0, atol=1e-13 * width)
+    for x, v in zip(w, states):
+        assert np.linalg.norm(h @ v - x * v) < 1e-12 * width
+    vecs = np.array(states).T
+    np.testing.assert_allclose(np.conj(vecs.T) @ vecs, np.eye(len(w)), rtol=0, atol=1e-12)
