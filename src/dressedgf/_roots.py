@@ -24,13 +24,12 @@ BISECT_XTOL = 1e-12
 SCAN_POINTS = (64, 256)
 
 
-def gap_intervals(bands, lower, upper, split=None):
+def gap_intervals(bands, lower, upper):
     """Search intervals ``(a, b, a_open, b_open)`` over the gaps of ``bands``.
 
     Band edges are open ends.  The half-infinite gaps end at the finite
     ``lower`` and ``upper`` bounds, as closed ends; a bound of ``None`` skips
-    that gap.  ``split`` cuts the gap containing it in two, closed at
-    ``split``.
+    that gap.
     """
     intervals = []
     for lo, hi in bands.gaps:
@@ -43,11 +42,7 @@ def gap_intervals(bands, lower, upper, split=None):
             if upper is None:
                 continue
             hi, hi_open = upper, False
-        if split is not None and lo < split < hi:
-            intervals.append((lo, split, lo_open, False))
-            intervals.append((split, hi, False, hi_open))
-        else:
-            intervals.append((lo, hi, lo_open, hi_open))
+        intervals.append((lo, hi, lo_open, hi_open))
     return intervals
 
 
@@ -125,9 +120,9 @@ def contact_roots(weights, energies, slope, offset, intervals):
     poles or band edges.  Each interval is scanned at ``SCAN_POINTS[M > 1]``
     points (:func:`scan_points`); each branch's one bracket
     (:func:`branch_bracket`) is bisected and Newton-polished with F' = slope
-    + v^H Gamma_S^2 v, v the branch eigenvector.  Returns the roots of every
-    branch, sorted, each branch deduplicated within ``10 * BISECT_XTOL``: a
-    root on two branches is listed twice.
+    + v^H Gamma_S^2 v, v the branch eigenvector.  The intervals share no
+    closed end, so no root is found twice on one branch.  Returns the roots
+    of every branch, sorted: a root on two branches is listed twice.
     """
     m = weights.shape[0]
 
@@ -155,7 +150,7 @@ def contact_roots(weights, energies, slope, offset, intervals):
                 break
         return w
 
-    found = [[] for _ in range(m)]
+    found = []
     for a, b_end, a_open, b_open in intervals:
         xs = scan_points(a, b_end, a_open, b_open, SCAN_POINTS[m > 1])
         if xs is None:
@@ -165,13 +160,6 @@ def contact_roots(weights, energies, slope, offset, intervals):
             bracket = branch_bracket(xs, values[:, b])
             if bracket is not None:  # an exact zero (x, x) bisects and polishes to x
                 root = bisect(lambda w: f_branch(w, b), *bracket)
-                found[b].append(float(polish(root, b, *bracket)))
-    return sorted(r for roots in found for r in dedupe(roots, 10.0 * BISECT_XTOL))
+                found.append(float(polish(root, b, *bracket)))
+    return sorted(found)
 
-
-def dedupe(roots, tol: float):
-    out = []
-    for r in sorted(roots):
-        if not out or r - out[-1] > tol:
-            out.append(r)
-    return out

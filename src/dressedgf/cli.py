@@ -37,7 +37,7 @@ UNITS_NOTE = "energies in the bath's units (the hopping j for built chains)"
 
 _TOP_KEYS = {
     "bath", "emitters", "gap_factor", "delta", "tol", "seed",
-    "n_grid", "k_indices", "g_sweep", "checks", "num_z",
+    "k_indices", "g_sweep", "checks", "num_z",
 }
 #: builder name -> (function, size key, sites per size unit, number keys in argument order)
 _BUILDERS = {
@@ -99,7 +99,6 @@ class RunConfig:
             self.delta = float(_positive(self.delta, "delta"))
         self.tol = float(_positive(raw.get("tol", 1e-9), "tol"))
         self.seed = _integer(raw, "seed", DEFAULT_SEED, minimum=0)
-        _integer(raw, "n_grid", 512, minimum=2)  # validated, then ignored: no grid to size
         self.k_indices = raw.get("k_indices")
         if self.k_indices is not None:
             if not isinstance(self.k_indices, list) or not all(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._roots import BISECT_XTOL
 from .bath import (
     BandStructure,
     Contact,
@@ -186,29 +185,27 @@ def solve_dressed_bound_states(
     s: SpectralData,
     e: EmitterSpec,
     bands: BandStructure | None = None,
-    n_grid: int | None = None,
-    xtol: float | None = None,
 ):
     """All discrete dressed states: in-gap roots of F plus the in-band VDS.
 
-    F is strictly increasing between its poles, so each gap subinterval
-    (split additionally at ``omega0``) holds at most one root; the two
-    half-infinite gaps are bounded using ``|root - omega0| <= g`` plus margin.
-    A vanishing bath Green function at ``(omega0, site)`` adds the
-    vacancy-dressed state even when ``omega0`` lies inside a band, where the
-    gap search cannot see it.  ``n_grid`` and ``xtol`` are accepted and
-    ignored: the root finder has no knobs.
+    F is strictly increasing between its poles, so each gap holds at most one
+    root; the two half-infinite gaps are bounded using ``|root - omega0| <=
+    g`` plus margin.  A vanishing bath Green function at ``(omega0, site)``
+    makes ``omega0`` a state, the vacancy-dressed state (VDS), even inside a
+    band, where the gap search cannot see it.  As F' >= 1/g**2, F's root next to
+    ``omega0`` then lies within ``g**2 * NODE_TOL`` of it: ``omega0`` joins the
+    roots unless a root lies that close.
     """
     if bands is None:
         bands = detect_bands(s)
     c = e._contact(s)
-    roots = _emitter_roots(c, e.omega0, e.g, bands, split=e.omega0)
+    roots = _emitter_roots(c, e.omega0, e.g, bands)
     # omega0 is a stationary point iff gamma(omega0) vanishes at the site
     try:
         vds = abs(complex(_gamma_block(c, complex(e.omega0))[0, 0])) < NODE_TOL
     except PoleError:
         vds = False
-    if vds and all(abs(e.omega0 - r) > 10 * BISECT_XTOL for r in roots):
+    if vds and all(abs(e.omega0 - r) >= e.g ** 2 * NODE_TOL for r in roots):
         roots = sorted(roots + [float(e.omega0)])
     # v[1 + site] * n is <site|G_B(x)|site>, the unnormalized photonic amplitude at the site
     return [BoundState(energy=float(x), atomic_amplitude=float(v[0].real), photonic=v[1:],

@@ -234,14 +234,13 @@ def _contact_scattering(c: Contact, k_indices, delta: float):
         yield kc, omega, regular, coupling, states
 
 
-def _emitter_roots(c: Contact, omega0, g, bands, split=None):
+def _emitter_roots(c: Contact, omega0, g, bands):
     """Roots of the contact's F in the gaps of ``bands`` (detected if None), the
     tails bounded by ``|root - omega0| <= g``."""
     levels = c.bath.eigenvalues
     intervals = _roots.gap_intervals(
         detect_bands(c.bath) if bands is None else bands,
         min(omega0, float(levels[0])) - g - 1.0, max(omega0, float(levels[-1])) + g + 1.0,
-        split=split,
     )
     return _roots.contact_roots(c.weights, levels, c.slope, c.offset, intervals)
 
@@ -278,16 +277,13 @@ def solve_impurity_bound_state(
     s: SpectralData,
     spec: ImpuritySpec,
     bands: BandStructure | None = None,
-    n_grid: int | None = None,
-    xtol: float | None = None,
 ):
     """All in-gap bound states of the impurity problem.
 
     The pole function increases between bath poles, so each gap holds at
     most one root.  For finite strength the single out-of-band root (above
     for repulsive, below for attractive) is included; the vacancy spectrum
-    interlaces the bath one, so it has no tail roots.  ``n_grid`` and
-    ``xtol`` are accepted and ignored: the root finder has no knobs.
+    interlaces the bath one, so it has no tail roots.
     """
     if bands is None:
         bands = detect_bands(s)

@@ -234,8 +234,6 @@ def det_f_roots(
     s: SpectralData,
     arr: EmitterArraySpec,
     bands: BandStructure | None = None,
-    n_grid: int | None = None,
-    xtol: float | None = None,
 ):
     """Every in-gap root of det F, with multiplicity across branches.
 
@@ -243,7 +241,6 @@ def det_f_roots(
     bath Green function; each branch function ``(w - omega0)/g**2 - mu_b(w)``
     is strictly increasing between bath poles, so it has at most one root per
     gap, and two roots that almost coincide sit on different branches.
-    ``n_grid`` and ``xtol`` are accepted and ignored: the finder has no knobs.
     """
     return _emitter_roots(arr._contact(s), arr.omega0, arr.g, bands)
 
@@ -252,28 +249,15 @@ def residue_coefficients(s: SpectralData, arr: EmitterArraySpec, omega: float) -
     """Coefficient matrix R of the resolvent residue at a two-atom pole.
 
     At a root of det F the residue of the full resolvent is
-    ``sum_ij R_ij |Psi_i><Psi_j|`` with ``R = g**2 adj(F) / beta`` and
-    ``beta = g**2 (det F)'``, assembled from the overlap matrix.  Near a
-    doubly degenerate root the ratio is taken through the null vector of F
-    instead, which stays finite.
+    ``sum_ij R_ij |Psi_i><Psi_j|`` with ``R = v v^H / (v^H F' v)``, v the null
+    vector of F and F' the overlap matrix.  At a simple root this equals
+    ``adj(F) / (det F)'``, and it stays finite at a doubly degenerate one.
     """
     if arr.m != 2:
         raise ValueError("residue coefficients are defined for exactly two emitters")
-    c = arr._contact(s)
-    z = complex(omega)
-    fm = _pole_matrix(c, z, _gamma_block(c, z))
-    fprime = _overlap(c, omega)
-    g2 = arr.g ** 2
-    adj = np.array([[fm[1, 1], -fm[0, 1]], [-fm[1, 0], fm[0, 0]]], dtype=np.complex128)
-    beta = g2 * (
-        fm[0, 0] * fprime[1, 1] + fm[1, 1] * fprime[0, 0]
-        - fm[0, 1] * fprime[1, 0] - fm[1, 0] * fprime[0, 1]
-    )
-    scale = g2 * float(np.linalg.norm(fm)) * float(np.linalg.norm(fprime))
-    if abs(beta) > 1e-8 * max(scale, 1e-300):
-        return g2 * adj / beta
-    null = _null_vectors(fm, 1)[:, 0]
-    amp = float(np.real(np.conj(null) @ fprime @ null))
+    c, z = arr._contact(s), complex(omega)
+    null = _null_vectors(_pole_matrix(c, z, _gamma_block(c, z)), 1)[:, 0]
+    amp = float(np.real(np.conj(null) @ _overlap(c, omega) @ null))
     return np.outer(null, np.conj(null)) / amp
 
 
@@ -281,14 +265,12 @@ def solve_two_atom_poles(
     s: SpectralData,
     arr: EmitterArraySpec,
     bands: BandStructure | None = None,
-    xtol: float | None = None,
 ) -> TwoAtomPoles:
     """In-gap pole doublet of two emitters, with normalized residue states.
 
     All in-gap roots of det F are located; the two closest to ``omega0`` form
     the doublet.  Each residue state is the null-vector combination of the
     dressed states at the exact root, normalized in the full space.
-    ``xtol`` is accepted and ignored, as in :func:`det_f_roots`.
     """
     if arr.m != 2:
         raise ValueError("solve_two_atom_poles requires exactly two emitters")

@@ -129,18 +129,11 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_n_grid_is_accepted_and_ignored(tmp_path):
-    # the root finder has no grid to size: any valid n_grid writes the same bytes
-    outs = []
-    for n_grid in (None, 2, 4096):
-        payload = dict(CHAIN_BOUND) if n_grid is None else {**CHAIN_BOUND, "n_grid": n_grid}
-        cfg = _write_config(tmp_path, f"run-{n_grid}.json", payload)
-        out = tmp_path / f"out-{n_grid}"
-        out.mkdir()
-        assert cli.main(["bound-states", "--config", cfg, "--out", str(out)]) == 0
-        outs.append([(out / name).read_bytes()
-                     for name in ("bound_states.csv", "wavefunctions.csv")])
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+def test_n_grid_is_an_unknown_key(tmp_path, capsys):
+    # the root finder has no grid to size, so the config has no key for one
+    cfg = _write_config(tmp_path, "run.json", {**CHAIN_BOUND, "n_grid": 512})
+    assert cli.main(["bound-states", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown key 'n_grid'" in capsys.readouterr().err
 
 
 def test_scattering_respects_k_subset(tmp_path):
@@ -280,8 +273,6 @@ def test_bad_emitter_config_is_a_config_error(tmp_path, capsys, command, emitter
 
 
 BAD_SCALAR_CONFIGS = [
-    ("bound-states", {"n_grid": "abc"}, "'n_grid' must be an integer"),
-    ("bound-states", {"n_grid": 1}, "'n_grid' must be >= 2"),
     ("compare", {"tol": "x"}, "'tol' must be a number"),
     ("compare", {"tol": 0.0}, "'tol' must be > 0"),
     ("scattering", {"delta": "a"}, "'delta' must be a number"),

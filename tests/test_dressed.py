@@ -329,6 +329,23 @@ def test_scattering_k_index_range():
 # ----------------------------------------------------------------- the VDS
 
 
+@pytest.mark.parametrize("shift", [1e-9, 3e-9])
+def test_vds_next_to_a_root_is_one_state(shift):
+    # ROADMAP 3(x): an on-site shift breaks the trivial SSH chain's chiral
+    # symmetry slightly, so gamma(omega0) = 0 holds only to below NODE_TOL and
+    # F's root moves to 2.0e-11 (6.0e-11) from omega0; it is the VDS, and
+    # omega0 must not be added as a second state
+    spec = build_ssh_chain(20, 0.0, 1.0, 0.5)
+    freqs = list(spec.frequencies)
+    freqs[13] = shift
+    spec = BathSpec(spec.n_sites, tuple(freqs), spec.hoppings)
+    e = EmitterSpec(omega0=0.0, g=0.3, site=10)
+    states = solve_dressed_bound_states(diagonalize_bath(spec), e)
+    (vds,) = [b for b in states if abs(b.energy) < 1e-6]
+    assert vds.is_vds and vds.energy != 0.0
+    assert compare(spec, (e,)).all_passed
+
+
 def test_classify_vds_bound():
     s = diagonalize_bath(build_uniform_chain(3, 0.0, 1.0))
     res = classify_vds(s, EmitterSpec(omega0=0.0, g=0.5, site=1))

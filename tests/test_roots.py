@@ -46,30 +46,6 @@ def test_gap_intervals_vacancy_has_no_tails():
     assert _roots.gap_intervals(BANDS, None, None) == INNER
 
 
-def test_gap_intervals_split_inner_gap():
-    got = _roots.gap_intervals(BANDS, -5.0, 5.0, split=1.5)
-    assert got == [
-        (-5.0, -3.0, False, True),
-        (-2.0, -1.0, True, True),
-        (1.0, 1.5, True, False),
-        (1.5, 2.0, False, True),
-        (3.0, 5.0, True, False),
-    ]
-
-
-def test_gap_intervals_split_tail_gap():
-    got = _roots.gap_intervals(BANDS, -5.0, 5.0, split=4.0)
-    assert got == [(-5.0, -3.0, False, True)] + INNER + [
-        (3.0, 4.0, True, False),
-        (4.0, 5.0, False, False),
-    ]
-
-
-def test_gap_intervals_split_inside_band_cuts_nothing():
-    got = _roots.gap_intervals(BANDS, -5.0, 5.0, split=0.0)
-    assert got == [(-5.0, -3.0, False, True)] + INNER + [(3.0, 5.0, True, False)]
-
-
 def test_bisect_finds_rising_crossing():
     root = 0.3
     f = lambda w: w - root  # noqa: E731
@@ -97,10 +73,20 @@ def test_sign_change_brackets_exact_zero_on_grid_point():
     # the zero is the root, also on the first point with no negative value
     assert _roots.branch_bracket(xs, np.array([-1.0, 0.0, 2.0, 3.0])) == (1.0, 1.0)
     assert _roots.branch_bracket(xs, np.array([0.0, 1.0, 2.0, 3.0])) == (0.0, 0.0)
-    # through the finder: F(w) = w - 1/w is exactly zero at the shared end 1.0
+    # through the finder: F(w) = w - 1/w is exactly zero at the closed end 1.0,
+    # which the next interval leaves open: the root is found once
     weights, energies = np.ones((1, 1, 1)), np.zeros(1)
-    intervals = [(0.5, 1.0, False, False), (1.0, 3.0, False, False)]
+    intervals = [(0.5, 1.0, False, False), (1.0, 3.0, True, False)]
     assert _roots.contact_roots(weights, energies, 1.0, 0.0, intervals) == [1.0]
+
+
+def test_roots_on_either_side_of_a_pole_are_both_kept():
+    # F(w) = w - 1e-24/w has one branch with the roots -1e-12 and +1e-12, one
+    # per interval; no tolerance merges them
+    roots = _roots.contact_roots(np.full((1, 1, 1), 1e-24), np.zeros(1), 1.0, 0.0,
+                                 [(-1.0, 0.0, False, True), (0.0, 1.0, True, False)])
+    assert len(roots) == 2
+    np.testing.assert_allclose(roots, [-1e-12, 1e-12], rtol=1e-8)
 
 
 def test_sign_change_brackets_skip_non_finite_values():

@@ -6,12 +6,15 @@
 DIR is the root of a checkout.  Each tree builds the prefix jobs and one cycle
 of each workload from its own ``perfbench/workloads.py`` (read, never
 modified) and runs them in a subprocess of its own, importing dressedgf from
-its own ``src/``, with one BLAS thread.  Per CLI job the report gives the
-exit codes, whether stdout, stderr and warnings are equal, and whether every
-file written is byte-identical; per library job, whether every array and
-number it returns is equal, bit for bit.  Where bytes differ it prints the
-largest absolute and relative deviation of the numbers.  Exit code 0 when
-every job is identical, 1 otherwise.
+its own ``src/``, with one BLAS thread.  After each job, and outside any
+timing, it runs the job's own benchmark check, as the benchmark's worker does
+after its loop.  Per CLI job the report gives the exit codes, whether stdout,
+stderr and warnings are equal, and whether every file written is
+byte-identical; per library job, whether every array and number it returns
+is equal, bit for bit.  Where bytes differ it prints the largest absolute and
+relative deviation of the numbers; where the check outcomes differ, both.
+Per workload it prints the failed checks per cycle of each tree.  Exit code
+0 when every job is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +60,16 @@ def _flatten(obj, key, into):
     into[key] = np.asarray(repr(obj))
 
 
+def _check(job, result, error) -> list:
+    """The failures of the job's own benchmark check; a job that raised fails with its error."""
+    if error is not None:
+        return [f"raised {error}"]
+    try:
+        return list(job.check(result) if job.out_dir is None else job.check(result, job.out_dir))
+    except Exception as exc:  # malformed or missing output
+        return [f"check raised {type(exc).__name__}: {str(exc)[:160]}"]
+
+
 def dump(tree: Path, workload: str, seed: int, out: Path) -> None:
     """Run the prefix and one cycle of ``workload`` from ``tree``; write outcomes to ``out``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -77,7 +90,8 @@ def dump(tree: Path, workload: str, seed: int, out: Path) -> None:
                 result, error = None, f"{type(exc).__name__}: {exc}"
         record = {"label": job.label, "kind": job.kind, "error": error,
                   "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
-                  "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
+                  "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+                  "prefix": i < len(wl.prefix), "failures": _check(job, result, error)}
         if job.out_dir is None:
             arrays = {}
             _flatten(result, "result", arrays)
@@ -156,13 +170,23 @@ def compare(da: Path, db: Path, workload: str) -> int:
         else:
             notes += _compare_arrays(da / f"{name}.npz", db / f"{name}.npz")
             summary = "raised " + ra["error"] if ra["error"] else "returned"
+        if ra["failures"] != rb["failures"]:
+            notes.append(f"check outcome differs: parent {_outcome(ra)}; change {_outcome(rb)}")
         status = "differs" if notes else "identical"
         print(f"{workload} {name} [{ra['kind']}] {ra['label']}: {summary}; {status}")
         for note in notes:
             print(f"    {note}")
         differing += bool(notes)
     print(f"{workload}: {len(ja) - differing} of {len(ja)} jobs identical")
+    cycle = [i for i, r in enumerate(ja) if not r["prefix"]]
+    failed = [sum(bool(records[i]["failures"]) for i in cycle) for records in (ja, jb)]
+    print(f"{workload}: failed checks per cycle: parent {failed[0]}, change {failed[1]}"
+          f" of {len(cycle)} jobs")
     return differing
+
+
+def _outcome(record) -> str:
+    return f"failed ({', '.join(record['failures'])})" if record["failures"] else "passed"
 
 
 def main() -> int:
