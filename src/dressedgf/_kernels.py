@@ -18,16 +18,13 @@ def mode_sum(weights, energies, w, power: int = 1) -> np.ndarray:
     """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) at ``w``, one mode sum per site pair.
 
     ``weights[i, j, k] = <x_i|k><k|x_j>``, so ``out[..., i, j] = sum_k
-    weights[i, j, k] / (w - energies[k])**power``; a 1-D ``weights`` is one
-    pair, summed alone.  ``w`` is a scalar or a 1-D grid; the site indices
-    come last.  A 1 x 1 block at a real ``w`` is summed in real arithmetic;
-    otherwise every weight enters as given.
+    weights[i, j, k] / (w - energies[k])**power``.  ``w`` is a scalar or a
+    1-D grid; the site indices come last.  A 1 x 1 block at a real ``w`` is
+    summed in real arithmetic; otherwise every weight enters as given.
     """
     d = np.subtract.outer(w, energies)
     if power == 2:
         d = d * d
-    if weights.ndim == 1:
-        return np.sum(weights / d, axis=-1)
     m = weights.shape[0]
     if m == 1 and np.isrealobj(d):
         weights = weights.real

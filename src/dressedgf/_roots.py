@@ -75,9 +75,9 @@ def branch_bracket(xs: np.ndarray, fv: np.ndarray):
     return (float(xs[i - 1]), float(xs[i])) if i and fv[i - 1] > -math.inf else None
 
 
-def bisect(f, lo: float, hi: float, max_iter: int = 200) -> float:
-    """Plain bisection of a rising crossing: ``f(lo) < 0 <= f(hi)``."""
-    for _ in range(max_iter):
+def bisect(f, lo: float, hi: float) -> float:
+    """Plain bisection of a rising crossing: ``f(lo) < 0 <= f(hi)``, at most 200 steps."""
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

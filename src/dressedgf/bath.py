@@ -383,14 +383,13 @@ def _coinciding_modes(c: Contact, z, strict: bool = True):
     return (weak if weak.any() else None), genuine.any(axis=-1)
 
 
-def _gamma_block(c: Contact, z: complex, power: int = 1, weights=None) -> np.ndarray:
+def _gamma_block(c: Contact, z: complex, power: int = 1) -> np.ndarray:
     """Gamma_S (``power=1``) or Gamma_S^2 (``power=2``) over the contact sites at ``z``.
 
-    One :func:`_kernels.mode_sum` over the modes the rule keeps, of the
-    contact's pair weights or of ``weights`` (one pair, for an element).
+    One :func:`_kernels.mode_sum` of the contact's pair weights over the modes
+    the rule keeps.
     """
-    weights = c.weights if weights is None else weights
-    energies = c.bath.eigenvalues
+    weights, energies = c.weights, c.bath.eigenvalues
     weak, _ = _coinciding_modes(c, z)
     if weak is not None:
         weights, energies = weights[..., ~weak], energies[~weak]
@@ -412,11 +411,8 @@ def _green_columns(c: Contact, z, strict: bool = True) -> np.ndarray:
 
 
 def _element(s: SpectralData, z: complex, x: int, xp: int, power: int) -> complex:
-    """Entry ``(x, xp)`` of the block over ``{x, xp}``, summing only its own pair weight."""
-    if x == xp:
-        return complex(_gamma_block(Contact(s, (x,)), z, power)[0, 0])
-    c = Contact(s, (x, xp))
-    return complex(_gamma_block(c, z, power, c.rows[0] * np.conj(c.rows[1])))
+    """Entry ``(x, xp)``: entry [0, -1] of the block over (x,), or over (x, xp) off the diagonal."""
+    return complex(_gamma_block(Contact(s, (x,) if x == xp else (x, xp)), z, power)[0, -1])
 
 
 def bath_green_element(s: SpectralData, z: complex, x: int, xp: int) -> complex:

@@ -231,10 +231,10 @@ def dressed_scattering_state(
     """
     if delta is None:
         delta = default_delta(s)
-    (_, omega, regular, states, residuals), = _scattering_chunks(s, e, [k_index], delta)
+    (_, omega, regular, states), = _contact_scattering(e._contact(s), [k_index], delta)
     return ScatteringState(
         k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),
-        residual=float(residuals[0]), delta=float(delta),
+        residual=float(_scattering_residuals(s, e, omega, states)[0]), delta=float(delta),
     )
 
 
@@ -252,26 +252,12 @@ def scattering_scalars(s: SpectralData, e: EmitterSpec, k_indices, delta: float 
     energy, residual = np.empty(n), np.empty(n)
     amplitude, regular = np.empty(n, dtype=np.complex128), np.empty(n, dtype=bool)
     start = 0
-    for ks, omega, reg, states, res in _scattering_chunks(s, e, k_indices, delta):
+    for ks, omega, reg, states in _contact_scattering(e._contact(s), k_indices, delta):
         part = slice(start, start + ks.size)
-        energy[part], amplitude[part], regular[part], residual[part] = omega, states[0], reg, res
+        energy[part], amplitude[part], regular[part] = omega, states[0], reg
+        residual[part] = _scattering_residuals(s, e, omega, states)
         start = part.stop
     return energy, amplitude, regular, residual
-
-
-def _scattering_chunks(s, e, k_indices, delta):
-    """``(ks, omega, regular, states, residuals)`` per chunk of the contact core.
-
-    ``states[:, i]`` is the scattering state on mode ``ks[i]`` over ``[e,
-    x_0..x_{N-1}]``.
-    """
-    for ks, omega, regular, coupling, photonic in _contact_scattering(
-        e._contact(s), k_indices, delta
-    ):
-        states = np.empty((s.n_sites + 1, ks.size), dtype=np.complex128)
-        states[0] = coupling * (1.0 / e.g)
-        states[1:] = photonic
-        yield ks, omega, regular, states, _scattering_residuals(s, e, omega, states)
 
 
 def _scattering_residuals(s, e, omega, states) -> np.ndarray:

@@ -149,12 +149,16 @@ def _contact_resolvent(c: Contact, z: complex, what: str, gam=None, keep_base: b
     return green, kets, bras, base
 
 
-def _contact_kets(c: Contact, w: complex, strict: bool = True) -> np.ndarray:
-    """Kets ``G_B(w)|x_i>``, the bath's columns; an ``amplitude`` adds the emitter sector."""
+def _contact_kets(c: Contact, w: complex) -> np.ndarray:
+    """Kets ``G_B(w)|x_i>``, the bath's columns; an ``amplitude`` adds the emitter sector.
+
+    A coupled mode at a real ``w`` stays in the sum: a caller that must refuse
+    it evaluates Gamma_S at ``w`` first, which raises on the same modes.
+    """
     m = len(c.sites)
     e = 0 if c.amplitude is None else m
     kets = np.zeros((e + c.bath.n_sites, m), dtype=np.complex128)
-    kets[e:] = _green_columns(c, complex(w), strict)
+    kets[e:] = _green_columns(c, complex(w), strict=False)
     if e:
         kets[range(e), range(e)] = c.amplitude
     return kets
@@ -187,7 +191,7 @@ def _bound_states(c: Contact, roots):
         start += len(group)
         null = np.ones((1, 1)) if m == 1 else _null_vectors(
             _pole_matrix(c, w, _gamma_block(c, w)), len(group))
-        psi = _contact_kets(c, w, strict=False) @ null
+        psi = _contact_kets(c, w) @ null
         try:
             chol = np.linalg.cholesky(np.conj(psi.T) @ psi)
         except np.linalg.LinAlgError:
@@ -199,12 +203,13 @@ def _bound_states(c: Contact, roots):
 
 
 def _contact_scattering(c: Contact, k_indices, delta: float):
-    """Scattering branch of a one-site contact on the bath modes ``k_indices``.
+    """Scattering states of a one-site contact on the bath modes ``k_indices``.
 
     A mode with ``|f| < NODE_TOL`` at its real energy omega passes through
     untouched; any other takes ``mode + coupling * G_B(z)|site>``, ``coupling
-    = mode[site] / f(z)`` at ``z = omega + 1j*delta``.  Yields ``(ks, omega,
-    regular, coupling, vectors)`` per chunk of at most ``SCATTER_CHUNK`` modes.
+    = mode[site] / f(z)`` at ``z = omega + 1j*delta``.  An ``amplitude`` puts
+    ``coupling * amplitude`` on the emitter, row 0 of ``[e, x_0..]``.  Yields
+    ``(ks, omega, regular, states)`` per chunk of at most ``SCATTER_CHUNK`` modes.
     """
     s, (site,) = c.bath, c.sites
     ks = np.asarray(k_indices, dtype=np.intp).reshape(-1)
@@ -231,7 +236,9 @@ def _contact_scattering(c: Contact, k_indices, delta: float):
         # coupling on the left: numpy's complex product is not bit-symmetric
         states = vecs[:, kc] + coupling * _green_columns(c, z)
         states[:, ~regular] = vecs[:, kc[~regular]]
-        yield kc, omega, regular, coupling, states
+        if c.amplitude is not None:
+            states = np.vstack((coupling * c.amplitude, states))
+        yield kc, omega, regular, states
 
 
 def _emitter_roots(c: Contact, omega0, g, bands):
@@ -317,7 +324,7 @@ def impurity_scattering_state(
     """
     if delta is None:
         delta = default_delta(s)
-    (_, omega, regular, _, states), = _contact_scattering(spec._contact(s), [k_index], delta)
+    (_, omega, regular, states), = _contact_scattering(spec._contact(s), [k_index], delta)
     return ImpurityScatteringState(
         k_index=k_index, energy=float(omega[0]), vector=states[:, 0], regular=bool(regular[0]),
         residual=float(_scattering_residuals(s, spec, omega, states)[0]),

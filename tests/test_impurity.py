@@ -365,7 +365,7 @@ def test_weak_mode_is_dropped_by_every_sum_alike(t):
                                rtol=0, atol=1e-12)
 
 
-def test_off_diagonal_element_sums_its_one_pair_and_keys_on_both_sites(monkeypatch):
+def test_off_diagonal_element_is_the_block_entry_and_keys_on_both_sites(monkeypatch):
     rng = np.random.default_rng(73)
     s = diagonalize_bath(random_bath_spec(rng, 30))
     shapes = []
@@ -380,7 +380,6 @@ def test_off_diagonal_element_sums_its_one_pair_and_keys_on_both_sites(monkeypat
         for power, element in ((1, bath_green_element), (2, bath_green_squared_element)):
             shapes.clear()
             value = element(s, z, 4, 17)
-            assert shapes == [(s.n_sites,)]  # one mode sum, not the 2 x 2 block's four
             block = bath._gamma_block(bath.Contact(s, (4, 17)), z, power)
             assert np.complex128(value).tobytes() == block[0, 1].tobytes()
     # chain of 5: the mode at energy 0 has nodes on sites 1 and 3 only

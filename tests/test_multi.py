@@ -527,6 +527,18 @@ def test_effective_many_rejects_in_band_omega0():
         effective_hamiltonian_many(s, arr)
 
 
+def test_effective_models_raise_on_a_coupled_level_at_omega0():
+    # omega0 within POLE_ATOL above the top level, inside the upper tail gap:
+    # Gamma_S at omega0 refuses the level before the kets there are built
+    s = diagonalize_bath(build_uniform_chain(40, 0.0, 1.0))
+    omega0 = float(s.eigenvalues[-1]) + 0.5 * bath.POLE_ATOL
+    for solve, sites in ((effective_hamiltonian_many, (3, 9, 14)),
+                         (effective_hamiltonian_two, (3, 9))):
+        arr = EmitterArraySpec(tuple(EmitterSpec(omega0, 0.1, x) for x in sites))
+        with pytest.raises(PoleError, match="coincides with eigenvalue"):
+            solve(s, arr)
+
+
 def test_effective_two_equivalent_sites():
     s = diagonalize_bath(build_uniform_chain(12, 0.0, 1.0))
     arr = _pair(2.5, 0.3, 3, 8)

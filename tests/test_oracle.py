@@ -16,6 +16,7 @@ from dressedgf import (
     build_full_hamiltonian,
     build_uniform_chain,
     compare,
+    diagonalize_bath,
     direct_resolvent,
     exact_eigensystem,
 )
@@ -216,6 +217,28 @@ def test_compare_two_emitters_all_pass():
     names = [c.name for c in report.checks]
     assert names == ["resolvent_identity", "two_atom_poles"]
     assert report.all_passed, report.to_dict()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 3(iii): the dense tail level 7.1e-15 below the lowest"
+                   " level lies inside the scan's first margin")
+def test_compare_finds_the_root_next_to_a_level_of_weight_4e_14():
+    # 11 sites; the lowest level has weight 4.3e-14 on site 10
+    spec = random_bath_spec(np.random.default_rng(13668))
+    top = float(diagonalize_bath(spec).eigenvalues[-1])
+    report = compare(spec, (EmitterSpec(top + 1.0, 1.0, 10),))
+    assert report.all_passed, report.to_dict()  # today: count mismatch, solver 1 vs oracle 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 3(xi): the dense solve puts dark cluster levels just"
+                   " outside their band, and the oracle counts them as in-gap levels")
+def test_compare_does_not_count_dark_levels_as_in_gap():
+    # 7 sites; the lower cluster has no weight at site 3, and its edge levels
+    # come out 8.9e-16 below and 2.2e-16 above their band in the dense solve
+    spec, _, _ = random_gapped_bath(np.random.default_rng(1))
+    report = compare(spec, (EmitterSpec(0.0, 0.5, 3),))
+    assert report.all_passed, report.to_dict()  # today: count mismatch, solver 2 vs oracle 4
 
 
 def test_compare_rejects_unknown_check():

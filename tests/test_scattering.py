@@ -69,7 +69,7 @@ def test_batched_impurity_matches_single_modes(bath, strength, monkeypatch):
         chunks = list(impurity._contact_scattering(
             spec._contact(s), range(s.n_sites), delta))
         assert [c[0].size for c in chunks][:-1] == [16] * (len(chunks) - 1)
-        for ks, omega, regular, _, states in chunks:
+        for ks, omega, regular, states in chunks:
             residuals = impurity._scattering_residuals(s, spec, omega, states)
             for i, k in enumerate(ks):
                 single = impurity_scattering_state(s, spec, int(k))
