@@ -153,7 +153,8 @@ def compare(
 
     Runs every applicable named check (single-emitter checks only fire for
     M=1, the two-atom pole check for M=2) and aggregates the max abs errors
-    into a machine-readable report.
+    into a machine-readable report.  ``num_z`` must be an integer >= 1 and
+    ``tol`` positive and finite; ValueError otherwise.
     """
     from . import bath as _bath, dressed as _dressed, multi as _multi
 
@@ -166,6 +167,10 @@ def compare(
         unknown = set(checks) - set(DEFAULT_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if isinstance(num_z, bool) or not isinstance(num_z, (int, np.integer)) or num_z < 1:
+        raise ValueError(f"num_z must be an integer >= 1, got {num_z!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if rng is None:
         rng = np.random.default_rng(0)
 

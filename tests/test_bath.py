@@ -317,18 +317,47 @@ def test_green_matrix_complex_bath_is_the_complex_product():
 
 
 @pytest.mark.parametrize("name", ["chain", "ssh-topological"])
-def test_green_matrix_real_bath_takes_two_real_products(name):
+def test_green_matrix_real_bath_takes_symmetric_products(name):
     s = diagonalize_bath(REAL_BATHS[name])
     v = s.eigenvectors.real
     rng = np.random.default_rng(27)
     for z in random_z(rng, s, 5):
         z = complex(z)
         inv = 1.0 / (z - s.eigenvalues)
+        # Re 1/(z - E) is positive on a leading block of the sorted levels
+        k = int(np.count_nonzero(inv.real > 0))
+        assert np.all(inv.real[:k] > 0) and np.all(inv.real[k:] <= 0)
+        scaled = v * np.sqrt(np.abs(inv.real))
+        a, b = scaled[:, :k], scaled[:, k:]
+        c = v * np.sqrt(np.abs(inv.imag))
         g = green_matrix(s, z)
-        assert np.array_equal(g.real, (v * inv.real) @ v.T)
-        assert np.array_equal(g.imag, (v * inv.imag) @ v.T)
+        assert np.array_equal(g.real, g.real.T) and np.array_equal(g.imag, g.imag.T)
+        assert np.array_equal(g.real, a @ a.T - b @ b.T)
+        assert np.array_equal(g.imag, -np.sign(z.imag) * (c @ c.T))
         ref = (s.eigenvectors / (z - s.eigenvalues)[None, :]) @ np.conj(s.eigenvectors.T)
         assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(REAL_BATHS))
+def test_green_matrix_real_bath_edge_points(name):
+    spec = REAL_BATHS[name]
+    s = diagonalize_bath(spec)
+    e = s.eigenvalues
+    gap = int(np.argmax(np.diff(e)))
+    points = {
+        "below every level": complex(e[0] - 0.7, 0.2),
+        "above every level": complex(e[-1] + 0.7, 0.2),
+        "on a level, Im z > 0": complex(e[len(e) // 2], 1e-3),
+        "on a level, Im z < 0": complex(e[len(e) // 2], -1e-3),
+        "Im z < 0": complex(0.5 * (e[0] + e[-1]) + 0.1, -0.3),
+        "real z in a gap": complex(0.5 * (e[gap] + e[gap + 1]), 0.0),
+    }
+    h = spec.to_matrix()
+    for what, z in points.items():
+        g = green_matrix(s, z)
+        np.testing.assert_allclose(g, np.linalg.inv(z * np.eye(s.n_sites) - h), atol=1e-10,
+                                   err_msg=what)
+    assert not np.any(green_matrix(s, points["real z in a gap"]).imag)
 
 
 def test_green_column_row_slices_of_matrix():

@@ -31,6 +31,14 @@ def test_files_compare_bytes_then_numbers(tmp_path):
     assert identity._compare_file(a, c) == "text differs beyond its numbers"
 
 
+def test_equal_infinities_and_nans_are_left_out_of_the_deviation(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"error": Infinity, "x": NaN, "y": -Infinity, "z": 0.5}')
+    b.write_text('{"error": Infinity, "x": NaN, "y": -Infinity, "z": 0.25}')
+    assert identity._compare_file(a, b) == (
+        "max abs deviation 2.500e-01, max rel deviation 5.000e-01")
+
+
 def test_library_results_flatten_to_arrays_that_compare_bit_for_bit(tmp_path):
     out_a, out_b = {}, {}
     identity._flatten([_Result(0.5, [np.ones(3), np.zeros(2)], None)], "r", out_a)

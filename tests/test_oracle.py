@@ -266,6 +266,40 @@ def test_compare_negative_control(monkeypatch):
     assert report.checks[0].error > 1e-7
 
 
+@pytest.mark.parametrize("kind", ["real chain", "complex graph"])
+def test_compare_negative_control_on_the_reference(kind, monkeypatch):
+    # corrupt the dense reference instead; the formula side must notice, on
+    # the real-eigenvector branch of the spectral sum and on the complex one
+    if kind == "real chain":
+        spec, em = build_uniform_chain(6, 0.0, 1.0), EmitterSpec(2.5, 0.4, 2)
+    else:
+        spec, em = random_bath_spec(np.random.default_rng(29), 8), EmitterSpec(2.5, 0.4, 3)
+    _, evecs = exact_eigensystem(spec, (em,))
+    assert bool(np.any(evecs.imag)) == (kind == "complex graph")
+
+    def check():
+        return compare(spec, (em,), checks=("resolvent_identity",),
+                       rng=np.random.default_rng(3)).checks[0]
+
+    assert check().passed
+    original = dressedgf.oracle._spectral_resolvent
+    monkeypatch.setattr(dressedgf.oracle, "_spectral_resolvent",
+                        lambda evals, evecs, z: original(evals, evecs, z) + 1e-6)
+    crooked = check()
+    assert not crooked.passed
+    assert crooked.error > 1e-7
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"num_z": 0}, {"num_z": -3}, {"num_z": 2.5}, {"num_z": True},
+    {"tol": 0.0}, {"tol": -1e-9}, {"tol": math.inf}, {"tol": math.nan},
+])
+def test_compare_rejects_bad_num_z_and_tol(kwargs):
+    spec = build_uniform_chain(4, 0.0, 1.0)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        compare(spec, (EmitterSpec(2.5, 0.4, 1),), **kwargs)
+
+
 def test_report_to_dict_is_json_ready():
     spec = build_uniform_chain(3, 0.0, 1.0)
     report = compare(spec, (EmitterSpec(2.5, 0.4, 1),), rng=np.random.default_rng(4))

@@ -108,8 +108,9 @@ def _deviation(a, b) -> str:
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
         return "numbers equal, formatting differs"
-    diff = np.abs(a - b)[~same]
-    scale = np.maximum(np.abs(a), np.abs(b))[~same]
+    a, b = a[~same], b[~same]  # equal infinities would subtract to nan
+    diff = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(scale > 0, diff / scale, np.inf)
     return f"max abs deviation {np.max(diff):.3e}, max rel deviation {np.max(rel):.3e}"
